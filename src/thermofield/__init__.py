@@ -20,6 +20,7 @@ from .bipartite import (
     purify,
     reduced_density,
     schmidt_decompose,
+    schmidt_entropy,
 )
 from .errors import CapacityError, ValidationError
 from .linalg import (
@@ -93,6 +94,7 @@ __all__ = [
     "reduced_density",
     "require_hermitian",
     "schmidt_decompose",
+    "schmidt_entropy",
     "svd",
     "thermal_average",
     "thermal_spectrum",

@@ -35,6 +35,7 @@ __all__ = [
     "schmidt_decompose",
     "purify",
     "entanglement_entropy",
+    "schmidt_entropy",
     "joint_density",
 ]
 
@@ -175,9 +176,11 @@ def from_product(vec_a: np.ndarray, vec_b: np.ndarray) -> BipartitePureState:
 def expectation(state: BipartitePureState, observable: Operator) -> float:
     """Expectation value of ``observable (x) identity`` in the given state.
 
-    Evaluated as the double sum over amplitudes and matrix elements of the
-    system observable, without forming any density matrix.  The result must
-    be real; an imaginary residue above 1e-10 is reported as a defect.
+    Evaluated as the double sum ``sum conj(a[j, mu]) F[j, i] a[i, mu]`` over
+    amplitudes and matrix elements of the system observable, as one matrix
+    product and one inner product, without forming any density matrix.  The
+    result must be real; an imaginary residue above 1e-10 is reported as a
+    defect.
     """
     if observable.dim != state.dim_a:
         raise ValidationError(
@@ -186,7 +189,7 @@ def expectation(state: BipartitePureState, observable: Operator) -> float:
         )
     require_hermitian(observable.matrix, "observable")
     a = state.amplitudes
-    value = complex(np.einsum("jm,ji,im->", a.conj(), observable.matrix, a))
+    value = complex(np.vdot(a, observable.matrix @ a))
     if abs(value.imag) > 1e-10:
         raise ValidationError(
             f"expectation value has imaginary residue {value.imag:.3e}"
@@ -259,14 +262,22 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
 def entanglement_entropy(state: BipartitePureState) -> float:
     """Entropy of entanglement in nats.
 
-    ``-sum p ln p`` over the squared Schmidt coefficients, dropping
-    probabilities at or below 1e-15.  Ranges from 0 (product state) to
+    Computes the singular values of the amplitudes and passes them to
+    :func:`schmidt_entropy`.  Ranges from 0 (product state) to
     ``ln min(dim_a, dim_b)`` (maximally entangled).
     """
-    s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    p = s**2
+    return schmidt_entropy(np.linalg.svd(state.amplitudes, compute_uv=False))
+
+
+def schmidt_entropy(coefficients: np.ndarray) -> float:
+    """Entropy of entanglement in nats, from the Schmidt coefficients.
+
+    ``-sum p ln p`` over the squared coefficients, dropping probabilities
+    at or below 1e-15.  A product state gives ``+0.0``, never ``-0.0``.
+    """
+    p = np.asarray(coefficients, dtype=np.float64) ** 2
     p = p[p > ENTROPY_CUTOFF]
-    return float(-np.sum(p * np.log(p)))
+    return float(-np.sum(p * np.log(p))) + 0.0  # + 0.0 maps -0.0 to +0.0
 
 
 def joint_density(state: BipartitePureState) -> DensityMatrix:

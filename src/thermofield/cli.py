@@ -174,7 +174,7 @@ def cmd_tfd(config: RunConfig) -> int:
     for beta in config.betas:
         state = thermal.thermofield_double(hamiltonian, beta)
         schmidt = bipartite.schmidt_decompose(state)
-        entropy = bipartite.entanglement_entropy(state)
+        entropy = bipartite.schmidt_entropy(schmidt.coefficients)
         entries.append((beta, schmidt.coefficients, entropy))
         if config.emit_state is not None:
             _write_text(config.emit_state, serialize.dump_state(state) + "\n")
@@ -233,7 +233,7 @@ def cmd_schmidt(config: RunConfig, state_path: str) -> int:
     """Schmidt spectrum, rank, and entropy of a state file."""
     state = serialize.load_state(_read_text(state_path))
     schmidt = bipartite.schmidt_decompose(state)
-    entropy = bipartite.entanglement_entropy(state)
+    entropy = bipartite.schmidt_entropy(schmidt.coefficients)
     if config.output_format == "json":
         body = serialize.render_object(
             [

@@ -83,7 +83,10 @@ def _number_list(obj: dict, key: str, count: int) -> np.ndarray:
         raise ValidationError(f'"{key}" must be an array of numbers')
     if len(values) != count:
         raise ValidationError(f'"{key}" must hold {count} numbers, got {len(values)}')
-    return np.asarray(values, dtype=np.float64)
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValidationError(f'"{key}" holds an integer too large for a float') from exc
 
 
 def _positive_int(obj: dict, key: str) -> int:

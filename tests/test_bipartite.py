@@ -15,6 +15,7 @@ from thermofield.bipartite import (
     purify,
     reduced_density,
     schmidt_decompose,
+    schmidt_entropy,
 )
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import Operator, dagger
@@ -93,6 +94,16 @@ class TestExpectation:
         rho_a = oracles.partial_trace_b(joint, 3, 4)
         want = np.trace(rho_a @ f.matrix).real
         assert abs(expectation(state, f) - want) <= 1e-12
+
+    def test_against_partial_trace_oracle_dims_2_to_64(self):
+        for d in range(2, 65):
+            dim_b = 1 + d % 4
+            state = random_bipartite_state(d, dim_b, seed=5000 + d)
+            f = build_random_hermitian(d, seed=6000 + d)
+            joint = np.outer(state.amplitudes.ravel(), state.amplitudes.ravel().conj())
+            want = np.trace(oracles.partial_trace_b(joint, d, dim_b) @ f.matrix).real
+            bound = 1e-12 * max(1.0, np.linalg.norm(f.matrix))
+            assert abs(expectation(state, f) - want) <= bound, d
 
     def test_dimension_mismatch(self):
         state = random_bipartite_state(3, 4, seed=9)
@@ -246,6 +257,10 @@ class TestEntropy:
     def test_product_zero(self):
         state = from_product(random_unit_vector(4, seed=45), random_unit_vector(3, seed=46))
         assert entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
+
+    def test_single_coefficient_is_positive_zero(self):
+        entropy = schmidt_entropy(np.array([1.0, 0.0]))
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
     def test_bell_ln2(self):
         assert entanglement_entropy(bell_state()) == pytest.approx(math.log(2.0), abs=1e-12)

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import oracles
+from thermofield import cli
 from thermofield.linalg import dagger
 from thermofield.models import random_complex_matrix
 from thermofield.serialize import dump_matrix
 
 TWO_LEVEL = '{"kind": "two_level", "params": {"gap": 1.0}}'
 RANDOM_5 = '{"kind": "random_hermitian", "params": {"dim": 5, "seed": 1}}'
+HUGE_ISING = '{"kind": "ising", "params": {"n": 2, "j": 1e308, "h": 1e308}}'
 
 
 def run_cli(*args, **kwargs):
@@ -22,6 +24,23 @@ def run_cli(*args, **kwargs):
         text=True,
         **kwargs,
     )
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a wrapper that logs one entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def error_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
 
 
 class TestSpectrum:
@@ -47,6 +66,13 @@ class TestSpectrum:
         proc = run_cli("spectrum", "--model", str(path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"eigenvalues": [0, 1]}
+
+    def test_non_finite_spectrum_rejected(self):
+        proc = run_cli("spectrum", "--model", HUGE_ISING)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = error_lines(proc.stderr)
+        assert "not finite" in line
 
     def test_csv_format(self):
         proc = run_cli("spectrum", "--model", TWO_LEVEL, "--format", "csv")
@@ -104,6 +130,15 @@ class TestVerify:
         (report,) = json.loads(proc.stdout)
         assert report["residual"] > 1e-30
 
+    def test_one_eigh_per_command_one_svd_per_report(self, monkeypatch, capsys):
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        args = ["verify", "--model", RANDOM_5, "--observable", "energy", "--beta", "0,0.5,1,2,4"]
+        assert cli.main(args) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 5
+        assert len(eigh) == 1
+        assert len(svd) == 5
+
     def test_negative_beta_rejected(self):
         proc = run_cli("verify", "--model", TWO_LEVEL, "--observable", "energy", "--beta", "-1")
         assert proc.returncode == 2
@@ -159,6 +194,21 @@ class TestTfd:
         assert loaded["coefficients"] == entry["schmidt_coefficients"]
         assert loaded["entropy"] == entry["entropy"]
 
+    def test_one_svd_per_schmidt_report(self, monkeypatch, capsys, tmp_path):
+        state_path = tmp_path / "state.json"
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        args = ["tfd", "--model", RANDOM_5, "--beta", "1.25", "--emit-state", str(state_path)]
+        assert cli.main(args) == 0
+        assert len(svd) == 1
+        assert cli.main(["schmidt", str(state_path)]) == 0
+        assert len(svd) == 2
+
+    def test_no_negative_zero_entropy(self):
+        model = '{"kind": "two_level", "params": {"gap": 1e308}}'
+        proc = run_cli("tfd", "--model", model, "--beta", "1e308")
+        assert proc.returncode == 0
+        assert proc.stdout == '[{"beta": 1e+308, "schmidt_coefficients": [1, 0], "entropy": 0}]\n'
+
     def test_emit_state_needs_single_beta(self, tmp_path):
         proc = run_cli(
             "tfd", "--model", TWO_LEVEL, "--beta", "0,1",
@@ -206,6 +256,14 @@ class TestPurify:
         proc = run_cli("purify", str(path))
         assert proc.returncode == 2
         assert "eigenvalue" in proc.stderr
+
+    def test_integer_too_large_for_float(self, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text('{"rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0]}')
+        proc = run_cli("purify", str(path))
+        assert proc.returncode == 2
+        assert error_lines(proc.stderr) == ['error: "re" holds an integer too large for a float']
+        assert "Traceback" not in proc.stderr
 
 
 class TestSchmidt:

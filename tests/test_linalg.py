@@ -172,6 +172,18 @@ class TestHermitianEig:
         with pytest.raises(ValidationError):
             hermitian_eig(Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
+    def test_rejects_non_finite_spectrum(self):
+        # finite entries whose eigenvalue 2e308 overflows
+        with pytest.raises(ValidationError, match="not finite"):
+            hermitian_eig(Operator(np.full((2, 2), 1e308)))
+
+    def test_cached_arrays_read_only(self):
+        eig = hermitian_eig(build_random_hermitian(4, seed=43))
+        with pytest.raises(ValueError):
+            eig.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            eig.eigenvectors[0, 0] = 0.0
+
 
 class TestSvd:
     def test_signed_diagonal(self):

@@ -63,6 +63,10 @@ class TestMatrixFormat:
         with pytest.raises(ValidationError):
             load_matrix('{"rows": 1, "cols": 1, "re": ["x"], "im": [0]}')
 
+    def test_rejects_integer_too_large_for_float(self):
+        with pytest.raises(ValidationError, match="too large"):
+            load_matrix('{"rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0]}')
+
     def test_rejects_bad_dims(self):
         with pytest.raises(ValidationError):
             load_matrix('{"rows": 0, "cols": 1, "re": [], "im": []}')

@@ -1,9 +1,11 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import oracles
+import thermofield
 from thermofield.bipartite import entanglement_entropy, reduced_density, schmidt_decompose
 from thermofield.errors import ValidationError
 from thermofield.linalg import Operator, identity
@@ -141,9 +143,23 @@ class TestThermalAverage:
         want = np.trace(oracles.gibbs_expm(h.matrix, 1.4) @ f.matrix).real
         assert thermal_average(h, 1.4, f) == pytest.approx(want, abs=1e-12)
 
+    def test_against_expm_oracle_dims_2_to_64(self):
+        for d in range(2, 65):
+            h = build_random_hermitian(d, seed=3000 + d)
+            f = build_random_hermitian(d, seed=4000 + d)
+            want = np.trace(oracles.gibbs_expm(h.matrix, 0.7) @ f.matrix).real
+            bound = 1e-12 * max(1.0, np.linalg.norm(f.matrix))
+            assert abs(thermal_average(h, 0.7, f) - want) <= bound, d
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             thermal_average(build_two_level(1.0), 1.0, identity(3))
+
+
+def test_no_einsum_in_package():
+    # the O(d^3) contractions run as BLAS matrix products, not einsum loops
+    for path in pathlib.Path(thermofield.__file__).parent.glob("*.py"):
+        assert "np.einsum" not in path.read_text(encoding="utf-8"), path.name
 
 
 class TestThermofieldDouble:
