@@ -21,6 +21,7 @@ from .bipartite import (
     reduced_density,
     schmidt_decompose,
     schmidt_entropy,
+    schmidt_from_factors,
 )
 from .errors import CapacityError, ValidationError
 from .linalg import (
@@ -95,6 +96,7 @@ __all__ = [
     "require_hermitian",
     "schmidt_decompose",
     "schmidt_entropy",
+    "schmidt_from_factors",
     "svd",
     "thermal_average",
     "thermal_spectrum",

@@ -33,6 +33,7 @@ __all__ = [
     "reduced_density",
     "environment_density",
     "schmidt_decompose",
+    "schmidt_from_factors",
     "purify",
     "entanglement_entropy",
     "schmidt_entropy",
@@ -212,31 +213,48 @@ def environment_density(state: BipartitePureState) -> DensityMatrix:
 def schmidt_decompose(state: BipartitePureState) -> SchmidtResult:
     """Biorthogonal decomposition of a bipartite pure state.
 
-    The amplitude matrix is factored as ``sum_k c_k u_k b_k^T`` with
-    orthonormal ``u_k`` (system) and ``b_k`` (surroundings).  Each system
+    The amplitude matrix is factored by SVD as ``sum_k c_k u_k b_k^T`` with
+    orthonormal ``u_k`` (system) and ``b_k`` (surroundings), and the factors
+    are passed to :func:`schmidt_from_factors`.  Each system
     column is rephased so its first entry of largest modulus is real and
     nonnegative, with the surroundings column compensating, which makes the
     output deterministic whenever the coefficients are nondegenerate.
     """
     u, s, v = svd(state.amplitudes)
-    basis_b = v.conj()  # b_k[mu] = conj(V[mu, k]) reproduces a = sum c u b^T
+    # b_k[mu] = conj(V[mu, k]) reproduces a = sum c u b^T
+    return schmidt_from_factors(state, s, u, v.conj())
 
-    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
 
-    u = u.copy()
-    basis_b = basis_b.copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        lead = int(np.argmax(np.abs(col)))  # first entry of largest modulus
-        phase = col[lead] / abs(col[lead])
-        u[:, k] = col * phase.conjugate()
-        if k < rank:
-            basis_b[:, k] = basis_b[:, k] * phase
+def schmidt_from_factors(
+    state: BipartitePureState,
+    coefficients: np.ndarray,
+    basis_a: np.ndarray,
+    basis_b: np.ndarray,
+) -> SchmidtResult:
+    """Schmidt decomposition of ``state`` from a known factorization.
+
+    The factors must satisfy ``amplitudes = sum_k c_k a_k b_k^T`` with
+    nonnegative descending ``coefficients`` and orthonormal columns
+    ``a_k`` (``basis_a``) and ``b_k`` (``basis_b``), as an SVD gives or as
+    a construction states.  The inputs are not modified.  Applies the
+    phase convention of :func:`schmidt_decompose`, counts the rank, zeroes
+    the surroundings columns past it, and checks the reconstruction against
+    the state's own amplitudes: a residual above 1e-10 Frobenius raises
+    :class:`ValidationError`, so a wrong factorization cannot pass.
+    """
+    rank = int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
+
+    columns = np.arange(basis_a.shape[1])
+    lead = basis_a[np.argmax(np.abs(basis_a), axis=0), columns]  # first entry of largest modulus
+    # hypot is the scalar abs(); np.abs on arrays can differ in the last bit
+    phases = lead / np.hypot(lead.real, lead.imag)
+    u = basis_a * phases.conjugate()[np.newaxis, :]
+    basis_b = basis_b * phases[np.newaxis, :]
     basis_b[:, rank:] = 0.0
 
-    result = SchmidtResult(s, u, basis_b, rank)
+    result = SchmidtResult(coefficients, u, basis_b, rank)
 
-    rebuilt = (u * s[np.newaxis, :]) @ basis_b.T
+    rebuilt = (u * coefficients[np.newaxis, :]) @ basis_b.T
     residual = float(np.linalg.norm(state.amplitudes - rebuilt))
     if residual > 1e-10:
         raise ValidationError(

@@ -133,12 +133,17 @@ def require_hermitian(m: np.ndarray, what: str = "operator") -> None:
     """Reject matrices whose Hermiticity residual exceeds the tolerance.
 
     The bound is relative: ``||M - M^dagger||_F <= 1e-9 * max(1, ||M||_F)``.
+    Both norms are taken of ``M`` divided by its largest entry modulus when
+    that exceeds 1, so neither overflows for entries near the float limit.
     """
-    residual = hermiticity_residual(m)
-    bound = HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m)))
+    scale = max(1.0, float(np.max(np.abs(m))))
+    scaled = m * (1.0 / scale)
+    residual = hermiticity_residual(scaled)
+    bound = HERMITICITY_TOL * max(1.0 / scale, float(np.linalg.norm(scaled)))
     if residual > bound:
         raise ValidationError(
-            f"{what} is not Hermitian: residual {residual:.3e} exceeds {bound:.3e}"
+            f"{what} is not Hermitian: residual {residual * scale:.3e} "
+            f"exceeds {bound * scale:.3e}"
         )
 
 

@@ -39,7 +39,13 @@ def render_number(x) -> str:
 
 
 def render_number_array(values) -> str:
-    return "[" + ", ".join(render_number(x) for x in values) + "]"
+    """JSON array of numbers, each rendered as by :func:`render_number`.
+
+    One ``%`` format call over the whole list; ``"%.17g" % x`` and
+    ``f"{x:.17g}"`` give the same bytes for every float.
+    """
+    numbers = np.asarray(values, dtype=np.float64).tolist()
+    return "[" + ", ".join(["%.17g"] * len(numbers)) % tuple(numbers) + "]"
 
 
 def render_object(pairs) -> str:
@@ -77,9 +83,8 @@ def _number_list(obj: dict, key: str, count: int) -> np.ndarray:
     if key not in obj:
         raise ValidationError(f'missing key "{key}"')
     values = obj[key]
-    if not isinstance(values, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
-    ):
+    # one pass over the element types; bool, str, None and lists are rejected
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise ValidationError(f'"{key}" must be an array of numbers')
     if len(values) != count:
         raise ValidationError(f'"{key}" must hold {count} numbers, got {len(values)}')

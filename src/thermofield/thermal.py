@@ -95,11 +95,18 @@ def _boltzmann(eig: EigResult, beta: float) -> tuple[np.ndarray, float]:
 
     Weights are shifted by the extremal energy before exponentiation so
     none can overflow; for ``beta >= 0`` the shift is the ground energy,
-    for the negative-beta extension it is the top of the spectrum.
+    for the negative-beta extension it is the top of the spectrum.  An
+    exponent that overflows is a vanishing weight, and at ``beta = 0``
+    every weight is 1 even when the spectrum spans more than the float
+    range.
     """
     energies = eig.eigenvalues
     shift = energies[0] if beta >= 0.0 else energies[-1]
-    weights = np.exp(-beta * (energies - shift))
+    if beta == 0.0:
+        weights = np.ones_like(energies)
+    else:
+        with np.errstate(over="ignore"):
+            weights = np.exp(-beta * (energies - shift))
     total = float(np.sum(weights))
     probabilities = weights / total
     log_partition = math.log(total) - beta * float(shift)
@@ -208,11 +215,28 @@ def verify_equivalence(
     once and cached on it.  They agree within 1e-10 for every valid input;
     a larger residual is a defect, so the report carries it rather than
     raising.
+
+    The Schmidt spectrum is taken from the construction, not measured: in
+    the energy eigenbasis the thermal double is already the biorthogonal
+    expansion ``sum_n sqrt(p_n) |n> (x) |e_n>``, so the coefficients are the
+    square-root probabilities sorted descending (stably), the system basis
+    is the eigenvectors and the surroundings basis the coordinate vectors
+    in that order.  :func:`bipartite.schmidt_from_factors` checks this
+    factorization against the state's amplitudes within 1e-10.  CLI
+    ``tfd`` and ``schmidt`` measure the spectrum by SVD instead.
     """
     trace_average = thermal_average(hamiltonian, beta, observable)
     state = thermofield_double(hamiltonian, beta)
     doubled = bipartite.expectation(state, observable)
-    schmidt = bipartite.schmidt_decompose(state)
+    eig = hermitian_eig(hamiltonian)
+    weights = np.sqrt(_boltzmann(eig, float(beta))[0])
+    order = np.argsort(-weights, kind="stable")
+    schmidt = bipartite.schmidt_from_factors(
+        state,
+        weights[order],
+        eig.eigenvectors[:, order],
+        np.eye(hamiltonian.dim, dtype=np.complex128)[:, order],
+    )
     return ThermalReport(
         beta=float(beta),
         observable_name=observable_name,

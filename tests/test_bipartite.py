@@ -16,6 +16,7 @@ from thermofield.bipartite import (
     reduced_density,
     schmidt_decompose,
     schmidt_entropy,
+    schmidt_from_factors,
 )
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import Operator, dagger
@@ -212,6 +213,29 @@ class TestSchmidt:
             lead = int(np.argmax(np.abs(col)))
             assert abs(col[lead].imag) <= 1e-12
             assert col[lead].real >= 0.0
+
+    def test_phase_convention_matches_column_loop(self):
+        # reference: the rephase written one column at a time
+        state = random_bipartite_state(5, 7, seed=22)
+        u, s, vh = np.linalg.svd(state.amplitudes, full_matrices=False)
+        want_a, want_b = u.copy(), vh.T.copy()
+        for k in range(u.shape[1]):
+            col = want_a[:, k]
+            lead = int(np.argmax(np.abs(col)))
+            phase = col[lead] / abs(col[lead])
+            want_a[:, k] = col * phase.conjugate()
+            want_b[:, k] = want_b[:, k] * phase
+        result = schmidt_from_factors(state, s, u, vh.T)
+        assert result.basis_a.tobytes() == want_a.tobytes()
+        assert result.basis_b.tobytes() == want_b.tobytes()
+
+    def test_from_factors_rejects_swapped_columns(self):
+        state = random_bipartite_state(4, 4, seed=23)
+        u, s, vh = np.linalg.svd(state.amplitudes)
+        schmidt_from_factors(state, s, u, vh.T)
+        swapped = u[:, [1, 0, 2, 3]]
+        with pytest.raises(ValidationError, match="reconstruction residual"):
+            schmidt_from_factors(state, s, swapped, vh.T)
 
     def test_schmidt_basis_double_sum_collapses(self):
         # double sum over the lifted observable in the Schmidt basis equals

@@ -130,14 +130,35 @@ class TestVerify:
         (report,) = json.loads(proc.stdout)
         assert report["residual"] > 1e-30
 
-    def test_one_eigh_per_command_one_svd_per_report(self, monkeypatch, capsys):
+    def test_one_eigh_and_no_svd_per_command(self, monkeypatch, capsys):
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
         svd = count_calls(monkeypatch, np.linalg, "svd")
         args = ["verify", "--model", RANDOM_5, "--observable", "energy", "--beta", "0,0.5,1,2,4"]
         assert cli.main(args) == 0
         assert len(json.loads(capsys.readouterr().out)) == 5
         assert len(eigh) == 1
-        assert len(svd) == 5
+        assert len(svd) == 0  # the Schmidt form comes from the construction
+
+    def test_non_hermitian_observable_near_float_limit(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(dump_matrix(np.array([[1e308, 1e308], [0.0, 0.0]])))
+        proc = run_cli("verify", "--model", TWO_LEVEL, "--observable", str(path), "--beta", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = error_lines(proc.stderr)
+        assert "observable is not Hermitian" in line
+        assert proc.stderr == line + "\n"
+
+    def test_span_past_float_range_at_infinite_temperature(self):
+        model = '{"kind": "ising", "params": {"n": 2, "j": 5e307, "h": 5e307}}'
+        proc = run_cli("verify", "--model", model, "--beta", "0", "--observable", "identity")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        (entry,) = json.loads(proc.stdout)
+        for key in ("trace_average", "doubled_expectation", "residual", "entropy"):
+            assert math.isfinite(entry[key])
+        np.testing.assert_allclose(entry["schmidt_coefficients"], [0.5] * 4, atol=1e-12)
+        assert entry["entropy"] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_negative_beta_rejected(self):
         proc = run_cli("verify", "--model", TWO_LEVEL, "--observable", "energy", "--beta", "-1")

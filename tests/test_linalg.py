@@ -96,6 +96,13 @@ class TestHermiticity:
         with pytest.raises(ValidationError):
             require_hermitian(np.eye(3, dtype=complex) + noise, "unit scale")
 
+    def test_rejects_asymmetry_near_float_limit(self):
+        # ||M||_F overflows here; the bound must stay finite
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            require_hermitian(np.array([[1e308, 1e308], [0.0, 0.0]]))
+        require_hermitian(np.array([[1e308, 1e308], [1e308, -1e308]]))
+        require_hermitian(np.full((2, 2), 5e-324))
+
 
 class TestKroneckerProduct:
     def test_identity_times_identity(self):

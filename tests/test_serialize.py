@@ -13,6 +13,7 @@ from thermofield.serialize import (
     load_matrix,
     load_state,
     render_number,
+    render_number_array,
 )
 from thermofield.thermal import ThermalReport
 
@@ -32,6 +33,16 @@ class TestRenderNumber:
     def test_valid_json_tokens(self):
         for x in (1e-300, 2.0 / 3.0, -1234.5):
             assert json.loads(render_number(x)) == x
+
+    def test_array_matches_per_number_rendering(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308,
+                  1.0, -1.0, 3.0, 2.0**53, -(2.0**60), 2.0 / 3.0, math.pi]
+        values += list(standard_normals(303, 64))
+        want = "[" + ", ".join(render_number(x) for x in values) + "]"
+        assert render_number_array(np.array(values)) == want
+        assert render_number_array(values) == want
+        assert render_number_array(np.array([])) == "[]"
 
 
 class TestMatrixFormat:
@@ -60,8 +71,9 @@ class TestMatrixFormat:
             load_matrix('{"rows": 2, "cols": 2, "re": [1, 2, 3], "im": [0, 0, 0, 0]}')
 
     def test_rejects_non_numbers(self):
-        with pytest.raises(ValidationError):
-            load_matrix('{"rows": 1, "cols": 1, "re": ["x"], "im": [0]}')
+        for bad in ('"x"', "true", "null", "[1]", "{}"):
+            with pytest.raises(ValidationError, match="array of numbers"):
+                load_matrix('{"rows": 1, "cols": 1, "re": [%s], "im": [0]}' % bad)
 
     def test_rejects_integer_too_large_for_float(self):
         with pytest.raises(ValidationError, match="too large"):

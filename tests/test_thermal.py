@@ -6,7 +6,13 @@ import pytest
 
 import oracles
 import thermofield
-from thermofield.bipartite import entanglement_entropy, reduced_density, schmidt_decompose
+from thermofield.bipartite import (
+    RANK_CUTOFF,
+    entanglement_entropy,
+    reduced_density,
+    schmidt_decompose,
+    schmidt_entropy,
+)
 from thermofield.errors import ValidationError
 from thermofield.linalg import Operator, identity
 from thermofield.models import build_random_hermitian, build_two_level
@@ -230,6 +236,30 @@ class TestVerifyEquivalence:
         )
         want = oracles.shannon_entropy([2 / 3, 1 / 3])
         assert report.entropy == pytest.approx(want, abs=1e-12)
+
+    def test_schmidt_spectrum_matches_svd_dims_2_to_64(self):
+        # verify takes the spectrum from the construction; an SVD measures it
+        cases = [
+            (build_random_hermitian(d, seed=600 + d), build_random_hermitian(d, seed=700 + d), ())
+            for d in range(2, 65)
+        ]
+        cases.append((Operator(3.7 * np.eye(5)), identity(5), ()))
+        cases.append((build_two_level(1.0), build_two_level(1.0), (LN2,)))
+        for h, f, extra_betas in cases:
+            for beta in (0.0, 0.1, 1.0, 10.0, 100.0) + extra_betas:
+                report = verify_equivalence(h, beta, f)
+                state = thermofield_double(h, beta)
+                measured = np.linalg.svd(state.amplitudes, compute_uv=False)
+                c = report.schmidt_coefficients
+                np.testing.assert_allclose(c, measured, rtol=0.0, atol=1e-12)
+                assert int(np.sum(c > RANK_CUTOFF * c[0])) == schmidt_decompose(state).rank
+                assert report.entropy == pytest.approx(schmidt_entropy(measured), abs=1e-12)
+
+    def test_span_past_float_range_at_infinite_temperature(self):
+        h = Operator(np.diag([-1e308, 1e308]))
+        report = verify_equivalence(h, 0.0, identity(2))
+        np.testing.assert_array_equal(report.schmidt_coefficients, [2**-0.5, 2**-0.5])
+        assert report.entropy == pytest.approx(LN2, abs=1e-12)
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValidationError):
