@@ -28,6 +28,7 @@ from .linalg import (
     EigResult,
     Operator,
     dagger,
+    eigvalsh,
     hermitian_eig,
     hermiticity_residual,
     identity,
@@ -77,6 +78,7 @@ __all__ = [
     "build_observable",
     "dagger",
     "decohere_tfd",
+    "eigvalsh",
     "entanglement_entropy",
     "environment_density",
     "expectation",

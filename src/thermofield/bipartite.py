@@ -18,8 +18,11 @@ from .linalg import (
     Operator,
     as_complex_matrix,
     dagger,
-    hermiticity_residual,
+    describe_residual,
+    eigvalsh,
+    hermitian_eig,
     require_hermitian,
+    singular_values,
     svd,
 )
 
@@ -97,23 +100,25 @@ class DensityMatrix:
 
     All three axioms are enforced at construction: Hermiticity residual
     and trace deviation at most 1e-9, smallest eigenvalue at least -1e-9.
+    The Hermiticity residual is the one :func:`require_hermitian` keeps on
+    the operator, scaled so it cannot overflow.
     """
 
     op: Operator
 
     def __post_init__(self):
         m = self.op.matrix
-        residual = hermiticity_residual(m)
-        if residual > DENSITY_TOL:
+        residual, _, scale = self.op._hermiticity
+        if residual * scale > DENSITY_TOL:
             raise ValidationError(
-                f"density matrix is not Hermitian: residual {residual:.3e}"
+                f"density matrix is not Hermitian: {describe_residual(residual, scale)}"
             )
         trace_dev = abs(complex(np.trace(m)) - 1.0)
         if trace_dev > DENSITY_TOL:
             raise ValidationError(
                 f"density matrix trace deviates from 1 by {trace_dev:.3e}"
             )
-        min_eig = float(np.linalg.eigvalsh(m)[0])
+        min_eig = float(eigvalsh(m)[0])
         if min_eig < -DENSITY_TOL:
             raise ValidationError(
                 f"density matrix is not positive semidefinite: "
@@ -188,7 +193,7 @@ def expectation(state: BipartitePureState, observable: Operator) -> float:
             f"observable dimension {observable.dim} does not match "
             f"system dimension {state.dim_a}"
         )
-    require_hermitian(observable.matrix, "observable")
+    require_hermitian(observable, "observable")
     a = state.amplitudes
     value = complex(np.vdot(a, observable.matrix @ a))
     if abs(value.imag) > 1e-10:
@@ -270,9 +275,10 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
     coordinate basis is paired with the eigenvectors of ``rho`` in
     descending-eigenvalue order, so the dominant weight sits at
     surroundings index 0 and a projector purifies to a product state on
-    the (0, 0) corner.
+    the (0, 0) corner.  The eigenvectors come from :func:`hermitian_eig`,
+    so they are cached on ``rho.op``.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(rho.matrix)
+    eigenvalues, eigenvectors = hermitian_eig(rho.op)
     weights = np.clip(eigenvalues[::-1], 0.0, None)
     return BipartitePureState(eigenvectors[:, ::-1] * np.sqrt(weights)[np.newaxis, :])
 
@@ -284,7 +290,7 @@ def entanglement_entropy(state: BipartitePureState) -> float:
     :func:`schmidt_entropy`.  Ranges from 0 (product state) to
     ``ln min(dim_a, dim_b)`` (maximally entangled).
     """
-    return schmidt_entropy(np.linalg.svd(state.amplitudes, compute_uv=False))
+    return schmidt_entropy(singular_values(state.amplitudes))
 
 
 def schmidt_entropy(coefficients: np.ndarray) -> float:

@@ -5,10 +5,18 @@ row-major order.  Square operators are wrapped in :class:`Operator`, which
 pins down the dimension, rejects non-finite entries, and enforces the
 desk-scale capacity limit.  The joint index of a tensor product is always
 ``k = i * dim_b + mu`` (first factor major), matching C-order reshapes.
+
+Every dense factorization of the package (:func:`hermitian_eig`,
+:func:`eigvalsh`, :func:`svd`) runs here.  A matrix whose imaginary parts
+are all exactly zero is factored by the real LAPACK drivers, which are
+several times faster than the complex ones; the results are returned as
+complex128 all the same, and may differ from the complex path at rounding
+level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -24,10 +32,13 @@ __all__ = [
     "dagger",
     "identity",
     "hermiticity_residual",
+    "scaled_hermiticity",
     "require_hermitian",
     "kronecker_product",
     "hermitian_eig",
+    "eigvalsh",
     "svd",
+    "singular_values",
     "trace",
 ]
 
@@ -61,10 +72,13 @@ class Operator:
 
     The eigendecomposition is made the first time :func:`hermitian_eig` is
     called on an instance and kept, read-only, while the instance lives;
-    every later call returns it.  The cache can never go stale because the
-    matrix is a private read-only copy.  It holds a second dim x dim
-    complex array, so a diagonalized operator takes twice the memory of the
-    matrix alone (512 MiB instead of 256 MiB at dim 4096).
+    every later call returns it.  The Hermiticity margin of
+    :func:`require_hermitian` is kept the same way, so an operator is
+    checked once however many layers require it.  Neither cache can go
+    stale because the matrix is a private read-only copy.  The
+    eigendecomposition holds a second dim x dim complex array, so a
+    diagonalized operator takes twice the memory of the matrix alone
+    (512 MiB instead of 256 MiB at dim 4096).
     """
 
     matrix: np.ndarray
@@ -84,13 +98,18 @@ class Operator:
         return self.matrix.shape[0]
 
     @cached_property
+    def _hermiticity(self) -> tuple[float, float, float]:
+        return scaled_hermiticity(self.matrix)
+
+    @cached_property
     def _eig(self) -> EigResult:
-        require_hermitian(self.matrix)
-        eigenvalues, eigenvectors = np.linalg.eigh(self.matrix)
+        require_hermitian(self)
+        eigenvalues, eigenvectors = np.linalg.eigh(_real_if_exact(self.matrix))
         if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(eigenvectors))):
             raise ValidationError(
                 "eigendecomposition is not finite: the operator's entries are too large"
             )
+        eigenvectors = eigenvectors.astype(np.complex128, copy=False)
         eigenvalues.flags.writeable = False
         eigenvectors.flags.writeable = False
         return EigResult(eigenvalues, eigenvectors)
@@ -129,21 +148,50 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.linalg.norm(m - dagger(m)))
 
 
-def require_hermitian(m: np.ndarray, what: str = "operator") -> None:
-    """Reject matrices whose Hermiticity residual exceeds the tolerance.
+def scaled_hermiticity(m: np.ndarray) -> tuple[float, float, float]:
+    """Hermiticity residual and norm of ``M``, computed without overflow.
 
-    The bound is relative: ``||M - M^dagger||_F <= 1e-9 * max(1, ||M||_F)``.
-    Both norms are taken of ``M`` divided by its largest entry modulus when
-    that exceeds 1, so neither overflows for entries near the float limit.
+    Returns ``(residual, norm, scale)``: ``scale`` is the largest entry
+    modulus of ``M`` or 1, whichever is larger, and ``residual`` and
+    ``norm`` are ``||S - S^dagger||_F`` and ``||S||_F`` of ``S = M / scale``.
+    Neither can overflow, so ``residual * scale`` is the true residual
+    whenever that is a float at all.
     """
     scale = max(1.0, float(np.max(np.abs(m))))
     scaled = m * (1.0 / scale)
-    residual = hermiticity_residual(scaled)
-    bound = HERMITICITY_TOL * max(1.0 / scale, float(np.linalg.norm(scaled)))
+    return hermiticity_residual(scaled), float(np.linalg.norm(scaled)), scale
+
+
+def describe_residual(residual: float, scale: float, bound: float | None = None) -> str:
+    """``residual * scale`` for an error message, never printed as ``inf``.
+
+    Gives ``"residual 1.234e+00"``, followed by ``" exceeds <bound>"`` when
+    a bound is given, or ``"residual exceeds the float range"``.
+    """
+    value = residual * scale
+    if not math.isfinite(value):
+        return "residual exceeds the float range"
+    text = f"residual {value:.3e}"
+    return text if bound is None else f"{text} exceeds {bound:.3e}"
+
+
+def require_hermitian(m: Operator | np.ndarray, what: str = "operator") -> None:
+    """Reject matrices whose Hermiticity residual exceeds the tolerance.
+
+    The bound is relative: ``||M - M^dagger||_F <= 1e-9 * max(1, ||M||_F)``,
+    with both norms taken by :func:`scaled_hermiticity`, so neither
+    overflows for entries near the float limit.  For an :class:`Operator`
+    the norms are computed on the first call and kept on the instance;
+    every call still raises with its own ``what``.
+    """
+    if isinstance(m, Operator):
+        residual, norm, scale = m._hermiticity
+    else:
+        residual, norm, scale = scaled_hermiticity(m)
+    bound = HERMITICITY_TOL * max(1.0 / scale, norm)
     if residual > bound:
         raise ValidationError(
-            f"{what} is not Hermitian: residual {residual * scale:.3e} "
-            f"exceeds {bound * scale:.3e}"
+            f"{what} is not Hermitian: {describe_residual(residual, scale, bound * scale)}"
         )
 
 
@@ -179,12 +227,31 @@ def hermitian_eig(h: Operator) -> EigResult:
     Returns
     -------
     EigResult
-        Real eigenvalues sorted ascending and orthonormal eigenvector
-        columns in the same order.  The arrays are read-only and cached on
-        ``h``, so repeated calls (every beta of a sweep, both sides of the
-        equivalence check) share one diagonalization.
+        Real eigenvalues sorted ascending and orthonormal complex128
+        eigenvector columns in the same order.  The arrays are read-only
+        and cached on ``h``, so repeated calls (every beta of a sweep, both
+        sides of the equivalence check) share one diagonalization.
+
+    A real-valued ``h`` (every imaginary part exactly zero) is factored in
+    real arithmetic; its eigenvectors are real, and the result may differ
+    from the complex driver's at rounding level.
     """
     return h._eig
+
+
+def _real_if_exact(m) -> np.ndarray:
+    """``m.real`` when every imaginary part is exactly zero, else ``m``."""
+    m = np.asarray(m)
+    return m.real if not m.imag.any() else m
+
+
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending, as float64.
+
+    Only the lower triangle is read.  A real-valued ``m`` is factored in
+    real arithmetic.
+    """
+    return np.linalg.eigvalsh(_real_if_exact(m))
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,13 +260,21 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns
     -------
     (u, s, v)
-        ``u`` and ``v`` have orthonormal columns; ``s`` is nonnegative and
-        sorted descending.  Note ``v`` is returned directly, not ``v``
-        conjugate-transposed.
+        ``u`` and ``v`` have orthonormal complex128 columns; ``s`` is
+        nonnegative and sorted descending.  Note ``v`` is returned
+        directly, not ``v`` conjugate-transposed.
+
+    A real-valued ``m`` (every imaginary part exactly zero) is factored in
+    real arithmetic, which can differ from the complex driver at rounding
+    level.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, dagger(vh)
+    u, s, vh = np.linalg.svd(_real_if_exact(m), full_matrices=False)
+    return u.astype(np.complex128, copy=False), s, dagger(vh).astype(np.complex128, copy=False)
+
+
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of ``m``, descending, as by :func:`svd` without vectors."""
+    return np.linalg.svd(_real_if_exact(m), compute_uv=False)
 
 
 def trace(a: Operator) -> complex:

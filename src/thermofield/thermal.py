@@ -167,7 +167,7 @@ def thermal_average(hamiltonian: Operator, beta: float, observable: Operator) ->
         )
     beta = _check_beta(beta, allow_negative_beta=False)
     eig = hermitian_eig(hamiltonian)
-    require_hermitian(observable.matrix, "observable")
+    require_hermitian(observable, "observable")
     probabilities, _ = _boltzmann(eig, beta)
     v = eig.eigenvectors
     diagonal = np.sum(v.conj() * (observable.matrix @ v), axis=0)
@@ -277,8 +277,8 @@ def gibbs_grand(
             f"number operator dimension {number_op.dim} does not match "
             f"Hamiltonian dimension {hamiltonian.dim}"
         )
-    require_hermitian(hamiltonian.matrix, "Hamiltonian")
-    require_hermitian(number_op.matrix, "number operator")
+    require_hermitian(hamiltonian, "Hamiltonian")
+    require_hermitian(number_op, "number operator")
     mu = float(mu)
     if not math.isfinite(mu):
         raise ValidationError(f"chemical potential must be finite, got {mu}")

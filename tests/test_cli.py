@@ -149,6 +149,24 @@ class TestVerify:
         assert "observable is not Hermitian" in line
         assert proc.stderr == line + "\n"
 
+    def test_observable_residual_past_float_range(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(dump_matrix(np.array([[0.0, 1e308], [-1e308, 0.0]])))
+        proc = run_cli("verify", "--model", TWO_LEVEL, "--observable", str(path), "--beta", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: observable is not Hermitian: residual exceeds the float range\n"
+        )
+
+    def test_each_operator_checked_once(self, monkeypatch, capsys):
+        from thermofield import linalg
+
+        checks = count_calls(monkeypatch, linalg, "scaled_hermiticity")
+        args = ["verify", "--model", RANDOM_5, "--observable", "occupation", "--beta", "0,0.5,1,2,4"]
+        assert cli.main(args) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 5
+        assert len(checks) == 2  # the Hamiltonian and the observable
+
     def test_span_past_float_range_at_infinite_temperature(self):
         model = '{"kind": "ising", "params": {"n": 2, "j": 5e307, "h": 5e307}}'
         proc = run_cli("verify", "--model", model, "--beta", "0", "--observable", "identity")
@@ -277,6 +295,22 @@ class TestPurify:
         proc = run_cli("purify", str(path))
         assert proc.returncode == 2
         assert "eigenvalue" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "entries,detail",
+        [
+            ([[1e308, 1e308], [0.0, 0.0]], "residual 1.414e+308"),
+            ([[0.0, 1e308], [-1e308, 0.0]], "residual exceeds the float range"),
+        ],
+    )
+    def test_non_hermitian_near_float_limit(self, tmp_path, entries, detail):
+        path = tmp_path / "rho.json"
+        path.write_text(dump_matrix(np.array(entries)))
+        proc = run_cli("purify", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        # one line, no numpy overflow warning
+        assert proc.stderr == f"error: density matrix is not Hermitian: {detail}\n"
 
     def test_integer_too_large_for_float(self, tmp_path):
         path = tmp_path / "rho.json"

@@ -1,6 +1,10 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+from thermofield import linalg
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import (
     Operator,
@@ -102,6 +106,55 @@ class TestHermiticity:
             require_hermitian(np.array([[1e308, 1e308], [0.0, 0.0]]))
         require_hermitian(np.array([[1e308, 1e308], [1e308, -1e308]]))
         require_hermitian(np.full((2, 2), 5e-324))
+
+    def test_residual_past_float_range_named_not_printed(self):
+        # ||M - M^dagger||_F = 2.8e308 is not a float
+        with pytest.raises(ValidationError) as info:
+            require_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        message = str(info.value)
+        assert message == "operator is not Hermitian: residual exceeds the float range"
+        assert "inf" not in message
+
+    def test_operator_checked_once_with_each_label(self, monkeypatch):
+        calls = []
+        original = linalg.scaled_hermiticity
+
+        def counting(m):
+            calls.append(1)
+            return original(m)
+
+        monkeypatch.setattr(linalg, "scaled_hermiticity", counting)
+        op = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="^first is not Hermitian: residual 1.414e"):
+            require_hermitian(op, "first")
+        with pytest.raises(ValidationError, match="^second is not Hermitian: residual 1.414e"):
+            require_hermitian(op, "second")
+        with pytest.raises(ValidationError, match="^operator is not Hermitian"):
+            hermitian_eig(op)
+        good = build_random_hermitian(4, seed=5)
+        require_hermitian(good, "observable")
+        hermitian_eig(good)
+        assert len(calls) == 2
+
+    def test_operator_and_matrix_verdicts_agree(self):
+        h = 1e8 * build_random_hermitian(3, seed=12).matrix
+        noise = np.zeros((3, 3), dtype=complex)
+        noise[0, 1] = 1e-3
+        require_hermitian(Operator(h + noise), "scaled")
+        with pytest.raises(ValidationError, match="unit scale is not Hermitian"):
+            require_hermitian(Operator(np.eye(3, dtype=complex) + noise), "unit scale")
+
+
+def test_factorizations_only_in_linalg():
+    # every eigh / eigvalsh / svd of the package runs through linalg
+    src = pathlib.Path(linalg.__file__).parent
+    kernel = re.compile(r"np\.linalg\.(eigh|eigvalsh|svd)\b")
+    offenders = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name != "linalg.py" and kernel.search(path.read_text())
+    ]
+    assert offenders == []
 
 
 class TestKroneckerProduct:

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from thermofield.errors import ValidationError
-from thermofield.linalg import hermitian_eig, hermiticity_residual, trace
+from thermofield.linalg import Operator, hermitian_eig, hermiticity_residual, trace
 from thermofield.models import (
     MODEL_KINDS,
     ModelSpec,
@@ -149,6 +149,54 @@ class TestIsing:
             build_ising(0, 1.0, 1.0)
         with pytest.raises(ValidationError):
             build_ising(11, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bytes_equal_kronecker_assembly(self, n):
+        rng = np.random.default_rng(100 + n)
+        couplings = [(0.9, 1.1), (-0.3, 0.0), (0.0, -2.5), tuple(rng.normal(size=2) * 3.0)]
+        for j, h in couplings:
+            want = ising_by_kronecker(n, j, h)
+            assert build_ising(n, j, h).matrix.tobytes() == want.tobytes(), (n, j, h)
+
+    def test_overflowing_chain_rejected(self):
+        # the diagonal sum -2e308 overflows; no RuntimeWarning escapes
+        with pytest.raises(ValidationError, match="finite"):
+            build_ising(3, 1e308, 1.0)
+
+    def test_one_operator_per_chain(self, monkeypatch):
+        made = []
+        original = Operator.__post_init__
+
+        def counting(self):
+            made.append(1)
+            original(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counting)
+        build_ising(9, 0.7, 1.3)
+        assert len(made) == 1
+
+
+def ising_by_kronecker(n: int, j: float, h_field: float) -> np.ndarray:
+    """The chain as a sum of dense Kronecker products, one term at a time.
+
+    The byte reference for :func:`build_ising`: the same terms, added to a
+    complex accumulator in the same order.
+    """
+    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    pauli_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+    def chain_term(site_ops):
+        acc = site_ops.get(0, np.eye(2, dtype=np.complex128))
+        for k in range(1, n):
+            acc = np.kron(acc, site_ops.get(k, np.eye(2, dtype=np.complex128)))
+        return acc
+
+    total = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for k in range(n - 1):
+        total -= j * chain_term({k: pauli_z, k + 1: pauli_z})
+    for k in range(n):
+        total -= h_field * chain_term({k: pauli_x})
+    return total
 
 
 class TestRandomHermitian:
