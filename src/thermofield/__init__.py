@@ -56,6 +56,7 @@ from .thermal import (
     thermal_average,
     thermal_spectrum,
     thermofield_double,
+    verify_betas,
     verify_equivalence,
 )
 
@@ -104,5 +105,6 @@ __all__ = [
     "thermal_spectrum",
     "thermofield_double",
     "trace",
+    "verify_betas",
     "verify_equivalence",
 ]

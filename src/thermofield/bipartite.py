@@ -8,6 +8,7 @@ operations are pure functions over read-only values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 # Largest allowed amplitude count dim_a * dim_b for a joint pure state.
-MAX_STATE_AMPLITUDES = 1 << 22
+MAX_STATE_AMPLITUDES = 1 << 24
 
 # Admission tolerance for state / vector normalization.  Off-norm inputs
 # are rejected, never silently renormalized.
@@ -72,11 +73,12 @@ class BipartitePureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = as_complex_matrix(self.amplitudes)
-        if a.size > MAX_STATE_AMPLITUDES:
+        size = math.prod(np.shape(self.amplitudes))  # before any copy is made
+        if size > MAX_STATE_AMPLITUDES:
             raise CapacityError(
-                f"state with {a.size} amplitudes exceeds the maximum {MAX_STATE_AMPLITUDES}"
+                f"state with {size} amplitudes exceeds the maximum {MAX_STATE_AMPLITUDES}"
             )
+        a = as_complex_matrix(self.amplitudes)
         norm_sq = float(np.sum(np.abs(a) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValidationError(
@@ -241,31 +243,64 @@ def schmidt_from_factors(
     The factors must satisfy ``amplitudes = sum_k c_k a_k b_k^T`` with
     nonnegative descending ``coefficients`` and orthonormal columns
     ``a_k`` (``basis_a``) and ``b_k`` (``basis_b``), as an SVD gives or as
-    a construction states.  The inputs are not modified.  Applies the
-    phase convention of :func:`schmidt_decompose`, counts the rank, zeroes
-    the surroundings columns past it, and checks the reconstruction against
-    the state's own amplitudes: a residual above 1e-10 Frobenius raises
-    :class:`ValidationError`, so a wrong factorization cannot pass.
+    a construction states.  The inputs are not modified.  Counts the rank
+    and checks the reconstruction against the state's own amplitudes: a
+    residual above 1e-10 Frobenius raises :class:`ValidationError`, so a
+    wrong factorization cannot pass.
+
+    ``basis_b`` takes one of two forms.
+
+    - A ``(dim_b, k)`` matrix of columns.  The phase convention of
+      :func:`schmidt_decompose` is applied, the surroundings columns past
+      the rank are zeroed, and the reconstruction is a dense product.
+    - A 1-D integer array of ``k`` distinct coordinate indices, for
+      ``b_k = e_{basis_b[k]}``, the coordinate basis vector of the
+      surroundings.  A coordinate vector carries no phase, so ``basis_a``
+      is kept as given, and the result's ``basis_b`` holds the indices of
+      the first ``rank`` vectors only.  The check scatters the scaled
+      columns ``c_k a_k`` into columns ``basis_b[:rank]`` of a zero matrix
+      and compares that with the amplitudes, in O(dim_a * dim_b) with no
+      matrix product.
     """
     rank = int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
+    amplitudes = state.amplitudes
 
-    columns = np.arange(basis_a.shape[1])
-    lead = basis_a[np.argmax(np.abs(basis_a), axis=0), columns]  # first entry of largest modulus
-    # hypot is the scalar abs(); np.abs on arrays can differ in the last bit
-    phases = lead / np.hypot(lead.real, lead.imag)
-    u = basis_a * phases.conjugate()[np.newaxis, :]
-    basis_b = basis_b * phases[np.newaxis, :]
-    basis_b[:, rank:] = 0.0
+    if np.ndim(basis_b) == 1:
+        order = _coordinate_indices(basis_b, basis_a.shape[1], state.dim_b)
+        result = SchmidtResult(coefficients, basis_a, order[:rank], rank)
+        rebuilt = np.zeros_like(amplitudes)
+        rebuilt[:, order[:rank]] = basis_a[:, :rank] * coefficients[np.newaxis, :rank]
+    else:
+        columns = np.arange(basis_a.shape[1])
+        lead = basis_a[np.argmax(np.abs(basis_a), axis=0), columns]  # first entry of largest modulus
+        # hypot is the scalar abs(); np.abs on arrays can differ in the last bit
+        phases = lead / np.hypot(lead.real, lead.imag)
+        u = basis_a * phases.conjugate()[np.newaxis, :]
+        basis_b = basis_b * phases[np.newaxis, :]
+        basis_b[:, rank:] = 0.0
+        result = SchmidtResult(coefficients, u, basis_b, rank)
+        rebuilt = (u * coefficients[np.newaxis, :]) @ basis_b.T
 
-    result = SchmidtResult(coefficients, u, basis_b, rank)
-
-    rebuilt = (u * coefficients[np.newaxis, :]) @ basis_b.T
-    residual = float(np.linalg.norm(state.amplitudes - rebuilt))
+    residual = float(np.linalg.norm(np.subtract(amplitudes, rebuilt, out=rebuilt)))
     if residual > 1e-10:
         raise ValidationError(
             f"Schmidt reconstruction residual {residual:.3e} exceeds 1e-10"
         )
     return result
+
+
+def _coordinate_indices(indices, count: int, dim_b: int) -> np.ndarray:
+    """``indices`` as ``count`` distinct integers in ``[0, dim_b)``, else raise."""
+    indices = np.asarray(indices)
+    if not np.issubdtype(indices.dtype, np.integer) or indices.shape != (count,):
+        raise ValidationError(
+            f"surroundings indices must be {count} integers, got {indices.dtype} {indices.shape}"
+        )
+    if np.any(indices < 0) or np.any(indices >= dim_b):
+        raise ValidationError(f"surroundings indices must lie in [0, {dim_b})")
+    if np.bincount(indices, minlength=dim_b).max() > 1:
+        raise ValidationError("surroundings indices must be distinct")
+    return indices
 
 
 def purify(rho: DensityMatrix) -> BipartitePureState:

@@ -20,7 +20,7 @@ import numpy as np
 from . import bipartite, models, serialize, thermal
 from .bipartite import DensityMatrix
 from .errors import ValidationError
-from .linalg import Operator, hermitian_eig
+from .linalg import Operator, dagger, hermitian_eig
 
 __all__ = ["RunConfig", "main"]
 
@@ -134,10 +134,7 @@ def cmd_verify(config: RunConfig) -> int:
     """Run the equivalence check once per beta, in input order."""
     hamiltonian = models.build_model(config.model)
     observable = _resolve_observable(config.observable, hamiltonian)
-    reports = [
-        thermal.verify_equivalence(hamiltonian, beta, observable, config.observable)
-        for beta in config.betas
-    ]
+    reports = thermal.verify_betas(hamiltonian, config.betas, observable, config.observable)
     if config.output_format == "json":
         body = "[" + ", ".join(serialize.dump_report(r) for r in reports) + "]"
         _emit(config, body + "\n")
@@ -205,8 +202,8 @@ def cmd_purify(config: RunConfig, density_path: str) -> int:
     """Purify a density-matrix file and report the round-trip residual."""
     rho = DensityMatrix(Operator(serialize.load_matrix(_read_text(density_path))))
     state = bipartite.purify(rho)
-    round_trip = bipartite.reduced_density(state)
-    residual = float(np.linalg.norm(round_trip.matrix - rho.matrix))
+    a = state.amplitudes
+    residual = float(np.linalg.norm(a @ dagger(a) - rho.matrix))
     state_json = serialize.dump_state(state)
     if config.emit_state is not None:
         _write_text(config.emit_state, state_json + "\n")

@@ -10,6 +10,7 @@ for arbitrarily large ``beta`` or energy spans.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "gibbs_density",
     "thermal_average",
     "thermofield_double",
+    "verify_betas",
     "verify_equivalence",
     "decohere_tfd",
     "gibbs_grand",
@@ -153,6 +155,35 @@ def gibbs_density(
     return DensityMatrix(Operator((v * probabilities[np.newaxis, :]) @ dagger(v)))
 
 
+def _check_dims(hamiltonian: Operator, observable: Operator) -> None:
+    if observable.dim != hamiltonian.dim:
+        raise ValidationError(
+            f"observable dimension {observable.dim} does not match "
+            f"Hamiltonian dimension {hamiltonian.dim}"
+        )
+
+
+def _check_capacity(dim: int) -> None:
+    if dim * dim > bipartite.MAX_STATE_AMPLITUDES:
+        raise CapacityError(
+            f"doubled state with {dim * dim} amplitudes exceeds the maximum "
+            f"{bipartite.MAX_STATE_AMPLITUDES}"
+        )
+
+
+def _ensemble_diagonal(eig: EigResult, observable: Operator) -> np.ndarray:
+    """Matrix elements ``<n|F|n>`` in the energy eigenbasis; beta does not enter."""
+    v = eig.eigenvectors
+    return np.sum(v.conj() * (observable.matrix @ v), axis=0)
+
+
+def _ensemble_value(probabilities: np.ndarray, diagonal: np.ndarray) -> float:
+    value = complex(np.dot(probabilities, diagonal))
+    if abs(value.imag) > 1e-10:
+        raise ValidationError(f"thermal average has imaginary residue {value.imag:.3e}")
+    return value.real
+
+
 def thermal_average(hamiltonian: Operator, beta: float, observable: Operator) -> float:
     """Ensemble average of an observable: probability-weighted eigensum.
 
@@ -160,21 +191,12 @@ def thermal_average(hamiltonian: Operator, beta: float, observable: Operator) ->
     path never touches the doubled space, so it can serve as one side of
     the equivalence check.
     """
-    if observable.dim != hamiltonian.dim:
-        raise ValidationError(
-            f"observable dimension {observable.dim} does not match "
-            f"Hamiltonian dimension {hamiltonian.dim}"
-        )
+    _check_dims(hamiltonian, observable)
     beta = _check_beta(beta, allow_negative_beta=False)
     eig = hermitian_eig(hamiltonian)
     require_hermitian(observable, "observable")
     probabilities, _ = _boltzmann(eig, beta)
-    v = eig.eigenvectors
-    diagonal = np.sum(v.conj() * (observable.matrix @ v), axis=0)
-    value = complex(np.dot(probabilities, diagonal))
-    if abs(value.imag) > 1e-10:
-        raise ValidationError(f"thermal average has imaginary residue {value.imag:.3e}")
-    return value.real
+    return _ensemble_value(probabilities, _ensemble_diagonal(eig, observable))
 
 
 def thermofield_double(
@@ -188,16 +210,77 @@ def thermofield_double(
     the doubled factor recovers the Gibbs state exactly.
     """
     beta = _check_beta(beta, allow_negative_beta)
-    dim = hamiltonian.dim
-    if dim * dim > bipartite.MAX_STATE_AMPLITUDES:
-        raise CapacityError(
-            f"doubled state with {dim * dim} amplitudes exceeds the maximum "
-            f"{bipartite.MAX_STATE_AMPLITUDES}"
-        )
+    _check_capacity(hamiltonian.dim)
     eig = hermitian_eig(hamiltonian)
     probabilities, _ = _boltzmann(eig, beta)
     amplitudes = eig.eigenvectors * np.sqrt(probabilities)[np.newaxis, :]
     return BipartitePureState(amplitudes)
+
+
+def verify_betas(
+    hamiltonian: Operator,
+    betas: Iterable[float],
+    observable: Operator,
+    observable_name: str = "observable",
+) -> list[ThermalReport]:
+    """Check that the ensemble average equals the doubled-space expectation.
+
+    Returns one :class:`ThermalReport` per entry of ``betas``, in order.
+    Every input is validated first (the dimensions, each beta, the
+    capacity of the doubled state), so a bad input raises before any
+    diagonalization.  The work that does not depend on beta is then done
+    once: one diagonalization of the Hamiltonian, one Hermiticity check of
+    the observable, and the eigenbasis matrix elements ``<n|F|n>`` (one
+    ``F @ V`` product).  Each beta then costs one inner product on the
+    ensemble side.
+
+    The doubled side runs independently for every beta: it builds the
+    thermal double with :func:`thermofield_double` and evaluates the
+    amplitude double sum of :func:`bipartite.expectation` (one ``F @ a``
+    product).  The two sides share only the diagonalization of the
+    Hamiltonian, which is cached on it.  They agree within 1e-10 for every
+    valid input; a larger residual is a defect, so the report carries it
+    rather than raising.
+
+    The Schmidt spectrum is taken from the construction, not measured: in
+    the energy eigenbasis the thermal double is already the biorthogonal
+    expansion ``sum_n sqrt(p_n) |n> (x) |e_n>``, so the coefficients are the
+    square-root probabilities sorted descending (stably), the system basis
+    is the eigenvectors and the surroundings basis the coordinate vectors
+    in that order.  :func:`bipartite.schmidt_from_factors` takes that basis
+    as coordinate indices and checks the factorization against the state's
+    amplitudes within 1e-10, in O(d^2).  CLI ``tfd`` and ``schmidt``
+    measure the spectrum by SVD instead.
+    """
+    _check_dims(hamiltonian, observable)
+    betas = [_check_beta(beta, allow_negative_beta=False) for beta in betas]
+    _check_capacity(hamiltonian.dim)
+    eig = hermitian_eig(hamiltonian)
+    require_hermitian(observable, "observable")
+    diagonal = _ensemble_diagonal(eig, observable)
+    reports = []
+    for beta in betas:
+        probabilities, _ = _boltzmann(eig, beta)
+        trace_average = _ensemble_value(probabilities, diagonal)
+        state = thermofield_double(hamiltonian, beta)
+        doubled = bipartite.expectation(state, observable)
+        weights = np.sqrt(probabilities)
+        order = np.argsort(-weights, kind="stable")
+        schmidt = bipartite.schmidt_from_factors(
+            state, weights[order], eig.eigenvectors[:, order], order
+        )
+        reports.append(
+            ThermalReport(
+                beta=beta,
+                observable_name=observable_name,
+                trace_average=trace_average,
+                doubled_expectation=doubled,
+                residual=abs(trace_average - doubled),
+                entropy=bipartite.schmidt_entropy(schmidt.coefficients),
+                schmidt_coefficients=schmidt.coefficients,
+            )
+        )
+    return reports
 
 
 def verify_equivalence(
@@ -206,46 +289,8 @@ def verify_equivalence(
     observable: Operator,
     observable_name: str = "observable",
 ) -> ThermalReport:
-    """Check that the ensemble average equals the doubled-space expectation.
-
-    The two sides run through independent code paths: the eigensum of
-    :func:`thermal_average` versus the amplitude double sum of
-    :func:`bipartite.expectation` applied to the thermal double state.
-    They share only the diagonalization of the Hamiltonian, which is made
-    once and cached on it.  They agree within 1e-10 for every valid input;
-    a larger residual is a defect, so the report carries it rather than
-    raising.
-
-    The Schmidt spectrum is taken from the construction, not measured: in
-    the energy eigenbasis the thermal double is already the biorthogonal
-    expansion ``sum_n sqrt(p_n) |n> (x) |e_n>``, so the coefficients are the
-    square-root probabilities sorted descending (stably), the system basis
-    is the eigenvectors and the surroundings basis the coordinate vectors
-    in that order.  :func:`bipartite.schmidt_from_factors` checks this
-    factorization against the state's amplitudes within 1e-10.  CLI
-    ``tfd`` and ``schmidt`` measure the spectrum by SVD instead.
-    """
-    trace_average = thermal_average(hamiltonian, beta, observable)
-    state = thermofield_double(hamiltonian, beta)
-    doubled = bipartite.expectation(state, observable)
-    eig = hermitian_eig(hamiltonian)
-    weights = np.sqrt(_boltzmann(eig, float(beta))[0])
-    order = np.argsort(-weights, kind="stable")
-    schmidt = bipartite.schmidt_from_factors(
-        state,
-        weights[order],
-        eig.eigenvectors[:, order],
-        np.eye(hamiltonian.dim, dtype=np.complex128)[:, order],
-    )
-    return ThermalReport(
-        beta=float(beta),
-        observable_name=observable_name,
-        trace_average=trace_average,
-        doubled_expectation=doubled,
-        residual=abs(trace_average - doubled),
-        entropy=bipartite.schmidt_entropy(schmidt.coefficients),
-        schmidt_coefficients=schmidt.coefficients,
-    )
+    """The equivalence check of :func:`verify_betas` at one ``beta``."""
+    return verify_betas(hamiltonian, [beta], observable, observable_name)[0]
 
 
 def decohere_tfd(hamiltonian: Operator, beta: float) -> DensityMatrix:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from thermofield import bipartite
 from thermofield.bipartite import (
     BipartitePureState,
     DensityMatrix,
@@ -48,8 +49,16 @@ class TestBipartitePureState:
             BipartitePureState(np.array([1.0, 0.0]))
 
     def test_capacity_guard(self):
+        # a read-only broadcast view: the size is checked before any copy
         with pytest.raises(CapacityError):
-            BipartitePureState(np.zeros((2049, 2048)))
+            BipartitePureState(np.broadcast_to(0.0, (4097, 4096)))
+
+    def test_capacity_checked_before_copy(self, monkeypatch):
+        copies = []
+        monkeypatch.setattr(bipartite, "as_complex_matrix", lambda m: copies.append(m))
+        with pytest.raises(CapacityError, match="16781312 amplitudes exceeds the maximum 16777216"):
+            BipartitePureState(np.broadcast_to(0.0, (4097, 4096)))
+        assert copies == []
 
     def test_dims(self):
         state = random_bipartite_state(3, 4, seed=1)

@@ -8,9 +8,10 @@ import pytest
 
 import oracles
 from thermofield import cli
-from thermofield.linalg import dagger
+from thermofield.bipartite import DensityMatrix, purify, reduced_density
+from thermofield.linalg import Operator, dagger
 from thermofield.models import random_complex_matrix
-from thermofield.serialize import dump_matrix
+from thermofield.serialize import dump_matrix, load_matrix, render_number
 
 TWO_LEVEL = '{"kind": "two_level", "params": {"gap": 1.0}}'
 RANDOM_5 = '{"kind": "random_hermitian", "params": {"dim": 5, "seed": 1}}'
@@ -288,6 +289,21 @@ class TestPurify:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["round_trip_residual"] <= 1e-10
         assert (tmp_path / "pure.json").exists()
+
+    def test_round_trip_without_second_admission(self, monkeypatch, capsys, tmp_path):
+        g = random_complex_matrix(9, 9, seed=23)
+        raw = g @ dagger(g)
+        path = tmp_path / "rho.json"
+        path.write_text(dump_matrix(raw / np.trace(raw).real))
+        rho = DensityMatrix(Operator(load_matrix(path.read_text())))
+        state = purify(rho)
+        # the residual as a second admitted DensityMatrix gives it
+        want = float(np.linalg.norm(reduced_density(state).matrix - rho.matrix))
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert cli.main(["purify", str(path), "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == f",round_trip_residual,{render_number(want)}"
+        assert len(eigvalsh) == 1  # the admission of the file only
 
     def test_invalid_density_named_invariant(self, tmp_path):
         path = tmp_path / "rho.json"
