@@ -15,7 +15,6 @@ from .bipartite import (
     entanglement_entropy,
     environment_density,
     expectation,
-    from_product,
     joint_density,
     purify,
     reduced_density,
@@ -32,7 +31,6 @@ from .linalg import (
     hermitian_eig,
     hermiticity_residual,
     identity,
-    kronecker_product,
     require_hermitian,
     svd,
     trace,
@@ -52,7 +50,6 @@ from .thermal import (
     ThermalSpectrum,
     decohere_tfd,
     gibbs_density,
-    gibbs_grand,
     thermal_average,
     thermal_spectrum,
     thermofield_double,
@@ -83,14 +80,11 @@ __all__ = [
     "entanglement_entropy",
     "environment_density",
     "expectation",
-    "from_product",
     "gibbs_density",
-    "gibbs_grand",
     "hermitian_eig",
     "hermiticity_residual",
     "identity",
     "joint_density",
-    "kronecker_product",
     "parse_model_spec",
     "purify",
     "random_bipartite_state",

@@ -32,7 +32,6 @@ __all__ = [
     "BipartitePureState",
     "DensityMatrix",
     "SchmidtResult",
-    "from_product",
     "expectation",
     "reduced_density",
     "environment_density",
@@ -165,20 +164,6 @@ class SchmidtResult:
             raise ValidationError(
                 f"rank {self.rank} does not match coefficient count {expected_rank}"
             )
-
-
-def from_product(vec_a: np.ndarray, vec_b: np.ndarray) -> BipartitePureState:
-    """Product state with amplitudes ``a[i] * b[mu]``.
-
-    Both vectors must be unit norm within 1e-9.
-    """
-    va = np.asarray(vec_a, dtype=np.complex128).reshape(-1)
-    vb = np.asarray(vec_b, dtype=np.complex128).reshape(-1)
-    for name, v in (("first", va), ("second", vb)):
-        dev = abs(float(np.linalg.norm(v)) - 1.0)
-        if dev > NORM_TOL:
-            raise ValidationError(f"{name} factor is not unit norm: deviation {dev:.3e}")
-    return BipartitePureState(np.outer(va, vb))
 
 
 def expectation(state: BipartitePureState, observable: Operator) -> float:

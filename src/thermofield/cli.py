@@ -5,12 +5,13 @@ One executable with five subcommands (``spectrum``, ``verify``, ``tfd``,
 to stderr.  Exit codes: 0 success, 1 a residual exceeded the tolerance,
 2 bad input, config, or I/O.  Output for a fixed config is byte-identical
 across runs.
+Each command returns its records, and :func:`_render` writes them in the
+chosen format.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from . import bipartite, models, serialize, thermal
 from .bipartite import DensityMatrix
 from .errors import ValidationError
 from .linalg import Operator, dagger, hermitian_eig
+from .thermal import ThermalReport
 
 __all__ = ["RunConfig", "main"]
 
@@ -49,12 +51,14 @@ class RunConfig:
                 raise ValidationError(f"beta values must be finite and nonnegative, got {b}")
 
 
-def _read_text(path: str) -> str:
+def _read_file(path: str) -> bytes:
+    """The bytes of a file, line ends translated as a text-mode read does."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _write_text(path: str, text: str) -> None:
@@ -67,11 +71,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _load_model(arg: str, seed_override: int | None) -> models.ModelSpec:
     """Accept inline JSON (leading '{') or a path to a model file."""
-    text = arg if arg.lstrip().startswith("{") else _read_text(arg)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid model JSON: {exc}") from exc
+    text = arg if arg.lstrip().startswith("{") else _read_file(arg)
+    obj = serialize.parse_json(text, "model JSON")
     if seed_override is not None:
         if not isinstance(obj, dict) or obj.get("kind") != "random_hermitian":
             raise ValidationError("--seed only applies to the random_hermitian model")
@@ -85,7 +86,7 @@ def _resolve_observable(arg: str, hamiltonian: Operator) -> Operator:
     """A documented observable name, or a path to a matrix file."""
     if arg in models.OBSERVABLE_NAMES:
         return models.build_observable(arg, hamiltonian)
-    matrix = serialize.load_matrix(_read_text(arg))
+    matrix = serialize.load_matrix(_read_file(arg))
     if matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"observable file must hold a square matrix, got {matrix.shape}")
     return Operator(matrix)
@@ -101,154 +102,118 @@ def _parse_betas(arg: str) -> list[float]:
     return betas
 
 
-def _render_csv(rows: list[tuple[str, str, str]]) -> str:
-    return "\n".join([CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
+def _over_tolerance(what: str, residual: float, tolerance: float) -> str | None:
+    """The stderr line for a residual above ``--tol``, else None."""
+    if residual > tolerance:
+        return f"{what} residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
+    return None
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path is not None:
-        _write_text(config.output_path, text)
-    else:
-        sys.stdout.write(text)
+def _render(records: list, output_format: str, array: bool) -> str:
+    """The records as JSON (one object, or an array of them) or as CSV rows.
 
-
-def cmd_spectrum(config: RunConfig) -> int:
-    """Print the eigenvalues of the configured model, ascending."""
-    hamiltonian = models.build_model(config.model)
-    eigenvalues = hermitian_eig(hamiltonian).eigenvalues
-    if config.output_format == "json":
-        body = serialize.render_object(
-            [("eigenvalues", serialize.render_number_array(eigenvalues))]
-        )
-        _emit(config, body + "\n")
-    else:
-        rows = [
-            ("", f"eigenvalue_{n}", serialize.render_number(value))
-            for n, value in enumerate(eigenvalues)
+    A record is a list of fields ``(JSON key, CSV quantity, value)``, or a
+    :class:`ThermalReport`, whose fields and JSON come from ``serialize``.
+    In CSV each field with a quantity is one ``beta,quantity,value`` row (an
+    array one row ``<quantity>_<k>`` per entry), and the record's ``beta``
+    field fills the beta column.
+    """
+    if output_format == "json":
+        objects = [
+            serialize.dump_report(r)
+            if isinstance(r, ThermalReport)
+            else serialize.render_object((key, value) for key, _, value in r)
+            for r in records
         ]
-        _emit(config, _render_csv(rows))
-    return 0
+        return ("[" + ", ".join(objects) + "]" if array else objects[0]) + "\n"
+    lines = [CSV_HEADER]
+    for record in records:
+        fields = serialize.report_fields(record) if isinstance(record, ThermalReport) else record
+        beta = next((serialize.render_number(v) for key, _, v in fields if key == "beta"), "")
+        for _, quantity, value in fields:
+            if quantity is None:
+                continue
+            if isinstance(value, np.ndarray):
+                lines += [
+                    f"{beta},{quantity}_{k},{serialize.render_number(x)}" for k, x in enumerate(value)
+                ]
+            else:
+                lines.append(f"{beta},{quantity},{serialize.render_number(value)}")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_verify(config: RunConfig) -> int:
-    """Run the equivalence check once per beta, in input order."""
+# Every command takes the validated config and the parsed arguments, and
+# returns its records and the stderr line of a residual over --tol (or None).
+
+
+def cmd_spectrum(config: RunConfig, args) -> tuple[list, str | None]:
+    """The eigenvalues of the configured model, ascending."""
+    eigenvalues = hermitian_eig(models.build_model(config.model)).eigenvalues
+    return [[("eigenvalues", "eigenvalue", eigenvalues)]], None
+
+
+def cmd_verify(config: RunConfig, args) -> tuple[list, str | None]:
+    """The equivalence check once per beta, in input order."""
     hamiltonian = models.build_model(config.model)
     observable = _resolve_observable(config.observable, hamiltonian)
     reports = thermal.verify_betas(hamiltonian, config.betas, observable, config.observable)
-    if config.output_format == "json":
-        body = "[" + ", ".join(serialize.dump_report(r) for r in reports) + "]"
-        _emit(config, body + "\n")
-    else:
-        rows: list[tuple[str, str, str]] = []
-        for r in reports:
-            beta_cell = serialize.render_number(r.beta)
-            rows.append((beta_cell, "trace_average", serialize.render_number(r.trace_average)))
-            rows.append(
-                (beta_cell, "doubled_expectation", serialize.render_number(r.doubled_expectation))
-            )
-            rows.append((beta_cell, "residual", serialize.render_number(r.residual)))
-            rows.append((beta_cell, "entropy", serialize.render_number(r.entropy)))
-            for k, c in enumerate(r.schmidt_coefficients):
-                rows.append((beta_cell, f"schmidt_coefficient_{k}", serialize.render_number(c)))
-        _emit(config, _render_csv(rows))
     worst = max(r.residual for r in reports)
-    if worst > config.tolerance:
-        print(
-            f"equivalence residual {worst:.3e} exceeds tolerance "
-            f"{config.tolerance:.3e}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return reports, _over_tolerance("equivalence", worst, config.tolerance)
 
 
-def cmd_tfd(config: RunConfig) -> int:
-    """Report the doubled-state spectrum per beta; optionally save the state."""
+def cmd_tfd(config: RunConfig, args) -> tuple[list, str | None]:
+    """The doubled-state Schmidt spectrum per beta; optionally save the state."""
     hamiltonian = models.build_model(config.model)
     if config.emit_state is not None and len(config.betas) != 1:
         raise ValidationError("--emit-state requires exactly one beta value")
-    entries = []
+    records = []
     for beta in config.betas:
         state = thermal.thermofield_double(hamiltonian, beta)
-        schmidt = bipartite.schmidt_decompose(state)
-        entropy = bipartite.schmidt_entropy(schmidt.coefficients)
-        entries.append((beta, schmidt.coefficients, entropy))
+        coefficients = bipartite.schmidt_decompose(state).coefficients
+        records.append(
+            [
+                ("beta", None, beta),
+                ("schmidt_coefficients", "schmidt_coefficient", coefficients),
+                ("entropy", "entropy", bipartite.schmidt_entropy(coefficients)),
+            ]
+        )
         if config.emit_state is not None:
             _write_text(config.emit_state, serialize.dump_state(state) + "\n")
-    if config.output_format == "json":
-        body = "[" + ", ".join(
-            serialize.render_object(
-                [
-                    ("beta", serialize.render_number(beta)),
-                    ("schmidt_coefficients", serialize.render_number_array(coeffs)),
-                    ("entropy", serialize.render_number(entropy)),
-                ]
-            )
-            for beta, coeffs, entropy in entries
-        ) + "]"
-        _emit(config, body + "\n")
-    else:
-        rows = []
-        for beta, coeffs, entropy in entries:
-            beta_cell = serialize.render_number(beta)
-            for k, c in enumerate(coeffs):
-                rows.append((beta_cell, f"schmidt_coefficient_{k}", serialize.render_number(c)))
-            rows.append((beta_cell, "entropy", serialize.render_number(entropy)))
-        _emit(config, _render_csv(rows))
-    return 0
+    return records, None
 
 
-def cmd_purify(config: RunConfig, density_path: str) -> int:
+def cmd_purify(config: RunConfig, args) -> tuple[list, str | None]:
     """Purify a density-matrix file and report the round-trip residual."""
-    rho = DensityMatrix(Operator(serialize.load_matrix(_read_text(density_path))))
+    rho = DensityMatrix(Operator(serialize.load_matrix(_read_file(args.density))))
     state = bipartite.purify(rho)
     a = state.amplitudes
     residual = float(np.linalg.norm(a @ dagger(a) - rho.matrix))
     state_json = serialize.dump_state(state)
     if config.emit_state is not None:
         _write_text(config.emit_state, state_json + "\n")
-    if config.output_format == "json":
-        body = serialize.render_object(
-            [
-                ("round_trip_residual", serialize.render_number(residual)),
-                ("state", state_json),
-            ]
-        )
-        _emit(config, body + "\n")
-    else:
-        _emit(config, _render_csv([("", "round_trip_residual", serialize.render_number(residual))]))
-    if residual > config.tolerance:
-        print(
-            f"round-trip residual {residual:.3e} exceeds tolerance {config.tolerance:.3e}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    record = [("round_trip_residual", "round_trip_residual", residual), ("state", None, state_json)]
+    return [record], _over_tolerance("round-trip", residual, config.tolerance)
 
 
-def cmd_schmidt(config: RunConfig, state_path: str) -> int:
+def cmd_schmidt(config: RunConfig, args) -> tuple[list, str | None]:
     """Schmidt spectrum, rank, and entropy of a state file."""
-    state = serialize.load_state(_read_text(state_path))
-    schmidt = bipartite.schmidt_decompose(state)
-    entropy = bipartite.schmidt_entropy(schmidt.coefficients)
-    if config.output_format == "json":
-        body = serialize.render_object(
-            [
-                ("coefficients", serialize.render_number_array(schmidt.coefficients)),
-                ("rank", str(schmidt.rank)),
-                ("entropy", serialize.render_number(entropy)),
-            ]
-        )
-        _emit(config, body + "\n")
-    else:
-        rows = [
-            ("", f"schmidt_coefficient_{k}", serialize.render_number(c))
-            for k, c in enumerate(schmidt.coefficients)
-        ]
-        rows.append(("", "rank", str(schmidt.rank)))
-        rows.append(("", "entropy", serialize.render_number(entropy)))
-        _emit(config, _render_csv(rows))
-    return 0
+    schmidt = bipartite.schmidt_decompose(serialize.load_state(_read_file(args.state)))
+    record = [
+        ("coefficients", "schmidt_coefficient", schmidt.coefficients),
+        ("rank", "rank", schmidt.rank),
+        ("entropy", "entropy", bipartite.schmidt_entropy(schmidt.coefficients)),
+    ]
+    return [record], None
+
+
+# command -> (function, whether its JSON is an array of records, not one object)
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, False),
+    "verify": (cmd_verify, True),
+    "tfd": (cmd_tfd, True),
+    "purify": (cmd_purify, False),
+    "schmidt": (cmd_schmidt, False),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,6 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command, array = _COMMANDS[args.command]
     try:
         config = RunConfig(
             model=_load_model(args.model, args.seed) if hasattr(args, "model") else None,
@@ -303,20 +269,19 @@ def main(argv: list[str] | None = None) -> int:
             tolerance=args.tolerance,
             emit_state=getattr(args, "emit_state", None),
         )
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "tfd":
-            return cmd_tfd(config)
-        if args.command == "purify":
-            return cmd_purify(config, args.density)
-        if args.command == "schmidt":
-            return cmd_schmidt(config, args.state)
-        raise ValidationError(f"unknown command {args.command!r}")
+        records, failure = command(config, args)
+        text = _render(records, config.output_format, array)
+        if config.output_path is not None:
+            _write_text(config.output_path, text)
+        else:
+            sys.stdout.write(text)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ __all__ = [
     "hermiticity_residual",
     "scaled_hermiticity",
     "require_hermitian",
-    "kronecker_product",
     "hermitian_eig",
     "eigvalsh",
     "svd",
@@ -193,25 +192,6 @@ def require_hermitian(m: Operator | np.ndarray, what: str = "operator") -> None:
         raise ValidationError(
             f"{what} is not Hermitian: {describe_residual(residual, scale, bound * scale)}"
         )
-
-
-def kronecker_product(a: Operator, b: Operator) -> Operator:
-    """Tensor product of two operators.
-
-    The result acts on the joint space with index ``k = i * b.dim + mu``,
-    i.e. the first factor is the slow (major) index.
-
-    Raises
-    ------
-    CapacityError
-        If ``a.dim * b.dim`` exceeds :data:`MAX_OPERATOR_DIM`.
-    """
-    joint = a.dim * b.dim
-    if joint > MAX_OPERATOR_DIM:
-        raise CapacityError(
-            f"tensor product dimension {joint} exceeds the maximum {MAX_OPERATOR_DIM}"
-        )
-    return Operator(np.kron(a.matrix, b.matrix))
 
 
 def hermitian_eig(h: Operator) -> EigResult:

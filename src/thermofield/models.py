@@ -14,6 +14,11 @@ parameters give bit-identical output on any platform:
 
 Changing any step silently invalidates golden files; the scheme is pinned
 by test vectors in the suite.
+
+Each model kind is described once, in ``_MODELS``: its builder and its
+parameters with their checks.  ``ModelSpec`` applies the checks when a
+model is parsed, and each builder applies the same checks when called
+directly.
 """
 
 from __future__ import annotations
@@ -43,18 +48,75 @@ __all__ = [
     "random_bipartite_state",
 ]
 
-MODEL_KINDS = ("two_level", "oscillator", "ising", "random_hermitian")
 OBSERVABLE_NAMES = ("identity", "energy", "occupation", "magnetization")
 
 MAX_ISING_SITES = 10
 
-# Required JSON parameters per model kind.
-_REQUIRED_PARAMS = {
-    "two_level": ("gap",),
-    "oscillator": ("omega", "cutoff"),
-    "ising": ("n", "j", "h"),
-    "random_hermitian": ("dim", "seed"),
+
+def _number(value, key: str, kind: str) -> float:
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValidationError(f"model {kind!r} parameter {key!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        return math.inf
+
+
+def _positive_real(value, key: str, kind: str) -> float:
+    value = _number(value, key, kind)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValidationError(f"model {kind!r} parameter {key!r} must be positive and finite")
+    return value
+
+
+def _finite_real(value, key: str, kind: str) -> float:
+    value = _number(value, key, kind)
+    if not math.isfinite(value):
+        raise ValidationError(f"model {kind!r} parameter {key!r} must be finite")
+    return value
+
+
+def _integer(lo: int, hi: int):
+    """Check for an integer parameter in ``[lo, hi]``."""
+
+    def check(value, key: str, kind: str) -> int:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValidationError(f"model {kind!r} parameter {key!r} must be an integer")
+        if not lo <= value <= hi:
+            raise ValidationError(
+                f"model {kind!r} parameter {key!r} must be in [{lo}, {hi}], got {value}"
+            )
+        return int(value)
+
+    return check
+
+
+# The one description of each model kind: the name of its builder in this
+# module, and its parameters in the builder's argument order, each with its
+# check.  Adding a kind takes one entry here and one builder below.
+_MODELS = {
+    "two_level": ("build_two_level", (("gap", _positive_real),)),
+    "oscillator": (
+        "build_oscillator",
+        (("omega", _positive_real), ("cutoff", _integer(2, MAX_OPERATOR_DIM))),
+    ),
+    "ising": (
+        "build_ising",
+        (("n", _integer(1, MAX_ISING_SITES)), ("j", _finite_real), ("h", _finite_real)),
+    ),
+    "random_hermitian": (
+        "build_random_hermitian",
+        (("dim", _integer(2, MAX_OPERATOR_DIM)), ("seed", _integer(0, 2**64 - 1))),
+    ),
 }
+
+MODEL_KINDS = tuple(_MODELS)
+
+
+def _checked(kind: str, *values) -> tuple:
+    """``values`` in the builder's argument order, each through its table check."""
+    _, params = _MODELS[kind]
+    return tuple(check(value, key, kind) for (key, check), value in zip(params, values))
 
 
 @dataclass(frozen=True)
@@ -65,18 +127,20 @@ class ModelSpec:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in _MODELS:
             raise ValidationError(
                 f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}"
             )
-        required = _REQUIRED_PARAMS[self.kind]
-        missing = [k for k in required if k not in self.params]
+        _, params = _MODELS[self.kind]
+        names = [key for key, _ in params]
+        missing = [k for k in names if k not in self.params]
         if missing:
             raise ValidationError(f"model {self.kind!r} is missing parameters {missing}")
-        unknown = [k for k in self.params if k not in required]
+        unknown = [k for k in self.params if k not in names]
         if unknown:
             raise ValidationError(f"model {self.kind!r} has unknown parameters {unknown}")
-        object.__setattr__(self, "params", _validated_params(self.kind, self.params))
+        values = _checked(self.kind, *(self.params[k] for k in names))
+        object.__setattr__(self, "params", dict(zip(names, values)))
 
 
 def parse_model_spec(obj: dict) -> ModelSpec:
@@ -88,86 +152,24 @@ def parse_model_spec(obj: dict) -> ModelSpec:
     return ModelSpec(str(obj["kind"]), dict(obj["params"]))
 
 
-def _positive_real(params: dict, key: str, kind: str) -> float:
-    value = params[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"model {kind!r} parameter {key!r} must be a number")
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"model {kind!r} parameter {key!r} must be positive and finite")
-    return value
-
-
-def _finite_real(params: dict, key: str, kind: str) -> float:
-    value = params[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"model {kind!r} parameter {key!r} must be a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"model {kind!r} parameter {key!r} must be finite")
-    return value
-
-
-def _integer(params: dict, key: str, kind: str, lo: int, hi: int) -> int:
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"model {kind!r} parameter {key!r} must be an integer")
-    if not lo <= value <= hi:
-        raise ValidationError(
-            f"model {kind!r} parameter {key!r} must be in [{lo}, {hi}], got {value}"
-        )
-    return value
-
-
-def _validated_params(kind: str, params: dict) -> dict:
-    """Range-check and normalize the parameters for one model kind."""
-    if kind == "two_level":
-        return {"gap": _positive_real(params, "gap", kind)}
-    if kind == "oscillator":
-        return {
-            "omega": _positive_real(params, "omega", kind),
-            "cutoff": _integer(params, "cutoff", kind, 2, MAX_OPERATOR_DIM),
-        }
-    if kind == "ising":
-        return {
-            "n": _integer(params, "n", kind, 1, MAX_ISING_SITES),
-            "j": _finite_real(params, "j", kind),
-            "h": _finite_real(params, "h", kind),
-        }
-    return {
-        "dim": _integer(params, "dim", kind, 2, MAX_OPERATOR_DIM),
-        "seed": _integer(params, "seed", kind, 0, 2**64 - 1),
-    }
-
-
 def build_model(spec: ModelSpec) -> Operator:
     """Build the Hamiltonian described by a validated ModelSpec."""
-    params = spec.params
-    if spec.kind == "two_level":
-        return build_two_level(params["gap"])
-    if spec.kind == "oscillator":
-        return build_oscillator(params["omega"], params["cutoff"])
-    if spec.kind == "ising":
-        return build_ising(params["n"], params["j"], params["h"])
-    return build_random_hermitian(params["dim"], params["seed"])
+    # the builder is looked up by name, so a rebound module attribute is used
+    builder, _ = _MODELS[spec.kind]
+    return globals()[builder](*spec.params.values())
 
 
 def build_two_level(gap: float) -> Operator:
     """Two-level Hamiltonian ``diag(0, gap)``."""
-    gap = float(gap)
-    if not math.isfinite(gap) or gap <= 0.0:
-        raise ValidationError(f"gap must be positive and finite, got {gap}")
+    (gap,) = _checked("two_level", gap)
     return Operator(np.diag([0.0, gap]).astype(np.complex128))
 
 
 def build_oscillator(omega: float, cutoff: int) -> Operator:
     """Truncated harmonic ladder ``diag(omega * (n + 1/2))``, n < cutoff."""
-    omega = float(omega)
-    if not math.isfinite(omega) or omega <= 0.0:
-        raise ValidationError(f"omega must be positive and finite, got {omega}")
-    if cutoff < 2 or cutoff > MAX_OPERATOR_DIM:
-        raise ValidationError(f"cutoff must be in [2, {MAX_OPERATOR_DIM}], got {cutoff}")
-    levels = omega * (np.arange(cutoff) + 0.5)
+    omega, cutoff = _checked("oscillator", omega, cutoff)
+    with np.errstate(over="ignore"):  # an overflowing level is rejected by Operator
+        levels = omega * (np.arange(cutoff) + 0.5)
     return Operator(np.diag(levels).astype(np.complex128))
 
 
@@ -181,13 +183,7 @@ def build_ising(n: int, j: float, h_field: float) -> Operator:
     ``i ^ (1 << (n - 1 - k))``.  The terms are added in the order of the
     sum, so the matrix equals the Kronecker-product assembly bit for bit.
     """
-    if not 1 <= n <= MAX_ISING_SITES:
-        raise ValidationError(f"site count must be in [1, {MAX_ISING_SITES}], got {n}")
-    j = float(j)
-    h_field = float(h_field)
-    if not (math.isfinite(j) and math.isfinite(h_field)):
-        raise ValidationError("couplings must be finite")
-
+    n, j, h_field = _checked("ising", n, j, h_field)
     dim = 2**n
     index = np.arange(dim)
     diagonal = np.zeros(dim)
@@ -233,8 +229,7 @@ def random_complex_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 def build_random_hermitian(dim: int, seed: int) -> Operator:
     """Hermitian matrix ``(G + G^dagger) / 2`` for a seeded Gaussian ``G``."""
-    if dim < 2 or dim > MAX_OPERATOR_DIM:
-        raise ValidationError(f"dim must be in [2, {MAX_OPERATOR_DIM}], got {dim}")
+    dim, seed = _checked("random_hermitian", dim, seed)
     g = random_complex_matrix(dim, dim, seed)
     return Operator((g + dagger(g)) / 2.0)
 

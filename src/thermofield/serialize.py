@@ -25,10 +25,12 @@ __all__ = [
     "render_number",
     "render_number_array",
     "render_object",
+    "parse_json",
     "dump_matrix",
     "load_matrix",
     "dump_state",
     "load_state",
+    "report_fields",
     "dump_report",
 ]
 
@@ -49,8 +51,21 @@ def render_number_array(values) -> str:
 
 
 def render_object(pairs) -> str:
-    """JSON object from (key, pre-rendered value) pairs, order preserved."""
-    return "{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}"
+    """JSON object from (key, value) pairs, order preserved.
+
+    A ``str`` value is JSON text and is emitted as it is; a list, tuple or
+    array is rendered by :func:`render_number_array`, anything else by
+    :func:`render_number`.
+    """
+    return "{" + ", ".join(f'"{k}": {_render_value(v)}' for k, v in pairs) + "}"
+
+
+def _render_value(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return render_number_array(value)
+    return render_number(value)
 
 
 def dump_matrix(m: np.ndarray) -> str:
@@ -58,25 +73,31 @@ def dump_matrix(m: np.ndarray) -> str:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    return _dump_complex(m, "rows", "cols")
+
+
+def _dump_complex(m: np.ndarray, rows_key: str, cols_key: str) -> str:
     flat = m.reshape(-1)
     return render_object(
-        [
-            ("rows", str(m.shape[0])),
-            ("cols", str(m.shape[1])),
-            ("re", render_number_array(flat.real)),
-            ("im", render_number_array(flat.imag)),
-        ]
+        [(rows_key, m.shape[0]), (cols_key, m.shape[1]), ("re", flat.real), ("im", flat.imag)]
     )
 
 
-def _parse_json(text: str) -> dict:
+def parse_json(text: str | bytes, what: str = "JSON"):
+    """Parse JSON text; ``bytes`` are decoded as UTF-8 first.
+
+    Every way the text can fail raises :class:`ValidationError` naming
+    ``what``: a syntax error, bytes that are not UTF-8, an integer longer
+    than Python converts (4300 digits by default), and nesting deeper than
+    the recursion limit.
+    """
+    # JSONDecodeError and UnicodeDecodeError are both ValueErrors
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValidationError("expected a JSON object at the top level")
-    return obj
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"invalid {what}: {exc}") from exc
 
 
 def _number_list(obj: dict, key: str, count: int) -> np.ndarray:
@@ -103,49 +124,52 @@ def _positive_int(obj: dict, key: str) -> int:
     return value
 
 
-def load_matrix(text: str) -> np.ndarray:
-    """Parse the shared matrix format to a complex array."""
-    obj = _parse_json(text)
-    rows = _positive_int(obj, "rows")
-    cols = _positive_int(obj, "cols")
+def _load_complex(text: str | bytes, rows_key: str, cols_key: str) -> np.ndarray:
+    obj = parse_json(text)
+    if not isinstance(obj, dict):
+        raise ValidationError("expected a JSON object at the top level")
+    rows = _positive_int(obj, rows_key)
+    cols = _positive_int(obj, cols_key)
     re = _number_list(obj, "re", rows * cols)
     im = _number_list(obj, "im", rows * cols)
     return (re + 1j * im).reshape(rows, cols)
 
 
+def load_matrix(text: str | bytes) -> np.ndarray:
+    """Parse the shared matrix format (text or UTF-8 bytes) to a complex array."""
+    return _load_complex(text, "rows", "cols")
+
+
 def dump_state(state: BipartitePureState) -> str:
     """Serialize a bipartite pure state, row-major over (system, surroundings)."""
-    flat = state.amplitudes.reshape(-1)
-    return render_object(
-        [
-            ("dim_a", str(state.dim_a)),
-            ("dim_b", str(state.dim_b)),
-            ("re", render_number_array(flat.real)),
-            ("im", render_number_array(flat.imag)),
-        ]
-    )
+    return _dump_complex(state.amplitudes, "dim_a", "dim_b")
 
 
-def load_state(text: str) -> BipartitePureState:
-    """Parse the state format; normalization is validated on construction."""
-    obj = _parse_json(text)
-    dim_a = _positive_int(obj, "dim_a")
-    dim_b = _positive_int(obj, "dim_b")
-    re = _number_list(obj, "re", dim_a * dim_b)
-    im = _number_list(obj, "im", dim_a * dim_b)
-    return BipartitePureState((re + 1j * im).reshape(dim_a, dim_b))
+def load_state(text: str | bytes) -> BipartitePureState:
+    """Parse the state format (text or UTF-8 bytes).
+
+    Normalization is validated on construction.
+    """
+    return BipartitePureState(_load_complex(text, "dim_a", "dim_b"))
+
+
+def report_fields(report: ThermalReport) -> list[tuple[str, str | None, object]]:
+    """The fields of one report, in the documented key order.
+
+    Each is ``(JSON key, CSV quantity, value)``; the CSV quantity is the
+    stem of one row per entry for an array, and None for a JSON-only field.
+    """
+    return [
+        ("beta", None, report.beta),
+        ("observable_name", None, json.dumps(report.observable_name)),
+        ("trace_average", "trace_average", report.trace_average),
+        ("doubled_expectation", "doubled_expectation", report.doubled_expectation),
+        ("residual", "residual", report.residual),
+        ("entropy", "entropy", report.entropy),
+        ("schmidt_coefficients", "schmidt_coefficient", report.schmidt_coefficients),
+    ]
 
 
 def dump_report(report: ThermalReport) -> str:
     """Serialize one equivalence report with the documented key order."""
-    return render_object(
-        [
-            ("beta", render_number(report.beta)),
-            ("observable_name", json.dumps(report.observable_name)),
-            ("trace_average", render_number(report.trace_average)),
-            ("doubled_expectation", render_number(report.doubled_expectation)),
-            ("residual", render_number(report.residual)),
-            ("entropy", render_number(report.entropy)),
-            ("schmidt_coefficients", render_number_array(report.schmidt_coefficients)),
-        ]
-    )
+    return render_object((key, value) for key, _, value in report_fields(report))

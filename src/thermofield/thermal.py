@@ -2,7 +2,7 @@
 
 Inverse temperature ``beta`` is taken directly (Boltzmann constant folded
 in, so ``beta`` carries inverse energy units).  All Boltzmann weights are
-computed relative to the extremal energy and the partition function is
+computed relative to the ground energy and the partition function is
 only ever exposed through its logarithm, which keeps every quantity finite
 for arbitrarily large ``beta`` or energy spans.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "verify_betas",
     "verify_equivalence",
     "decohere_tfd",
-    "gibbs_grand",
 ]
 
 
@@ -80,30 +79,25 @@ class ThermalReport:
             raise ValidationError("residual must equal |trace_average - doubled_expectation|")
 
 
-def _check_beta(beta: float, allow_negative_beta: bool) -> float:
+def _check_beta(beta: float) -> float:
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValidationError(f"beta must be finite, got {beta}")
-    if beta < 0.0 and not allow_negative_beta:
-        raise ValidationError(
-            "negative beta rejected; pass allow_negative_beta=True to permit "
-            "population inversion on a bounded spectrum"
-        )
+    if beta < 0.0:
+        raise ValidationError(f"negative beta rejected, got {beta}")
     return beta
 
 
 def _boltzmann(eig: EigResult, beta: float) -> tuple[np.ndarray, float]:
     """Occupation probabilities and log partition sum for given energies.
 
-    Weights are shifted by the extremal energy before exponentiation so
-    none can overflow; for ``beta >= 0`` the shift is the ground energy,
-    for the negative-beta extension it is the top of the spectrum.  An
-    exponent that overflows is a vanishing weight, and at ``beta = 0``
-    every weight is 1 even when the spectrum spans more than the float
-    range.
+    Weights are shifted by the ground energy before exponentiation so
+    none can overflow.  An exponent that overflows is a vanishing weight,
+    and at ``beta = 0`` every weight is 1 even when the spectrum spans more
+    than the float range.
     """
     energies = eig.eigenvalues
-    shift = energies[0] if beta >= 0.0 else energies[-1]
+    shift = energies[0]
     if beta == 0.0:
         weights = np.ones_like(energies)
     else:
@@ -115,9 +109,7 @@ def _boltzmann(eig: EigResult, beta: float) -> tuple[np.ndarray, float]:
     return probabilities, log_partition
 
 
-def thermal_spectrum(
-    hamiltonian: Operator, beta: float, *, allow_negative_beta: bool = False
-) -> ThermalSpectrum:
+def thermal_spectrum(hamiltonian: Operator, beta: float) -> ThermalSpectrum:
     """Diagonalize a Hamiltonian and attach canonical weights.
 
     Parameters
@@ -125,8 +117,7 @@ def thermal_spectrum(
     hamiltonian : Operator
         Hermitian within the standard tolerance.
     beta : float
-        Inverse temperature, finite and nonnegative unless the explicit
-        opt-in flag is set.
+        Inverse temperature, finite and nonnegative.
 
     Returns
     -------
@@ -134,21 +125,19 @@ def thermal_spectrum(
         Ascending energies, per-eigenstate probabilities, and the log of
         the partition sum.
     """
-    beta = _check_beta(beta, allow_negative_beta)
+    beta = _check_beta(beta)
     eig = hermitian_eig(hamiltonian)
     probabilities, log_partition = _boltzmann(eig, beta)
     return ThermalSpectrum(beta, eig.eigenvalues, probabilities, log_partition)
 
 
-def gibbs_density(
-    hamiltonian: Operator, beta: float, *, allow_negative_beta: bool = False
-) -> DensityMatrix:
+def gibbs_density(hamiltonian: Operator, beta: float) -> DensityMatrix:
     """Canonical equilibrium density matrix at inverse temperature ``beta``.
 
     Assembled in the energy eigenbasis, so it commutes with the
     Hamiltonian by construction.
     """
-    beta = _check_beta(beta, allow_negative_beta)
+    beta = _check_beta(beta)
     eig = hermitian_eig(hamiltonian)
     probabilities, _ = _boltzmann(eig, beta)
     v = eig.eigenvectors
@@ -192,16 +181,14 @@ def thermal_average(hamiltonian: Operator, beta: float, observable: Operator) ->
     the equivalence check.
     """
     _check_dims(hamiltonian, observable)
-    beta = _check_beta(beta, allow_negative_beta=False)
+    beta = _check_beta(beta)
     eig = hermitian_eig(hamiltonian)
     require_hermitian(observable, "observable")
     probabilities, _ = _boltzmann(eig, beta)
     return _ensemble_value(probabilities, _ensemble_diagonal(eig, observable))
 
 
-def thermofield_double(
-    hamiltonian: Operator, beta: float, *, allow_negative_beta: bool = False
-) -> BipartitePureState:
+def thermofield_double(hamiltonian: Operator, beta: float) -> BipartitePureState:
     """Thermal double: the canonical ensemble lifted to a pure state.
 
     The doubled factor gets one coordinate basis vector per eigenstate, in
@@ -209,7 +196,7 @@ def thermofield_double(
     with columns scaled by the square-root probabilities.  Reducing over
     the doubled factor recovers the Gibbs state exactly.
     """
-    beta = _check_beta(beta, allow_negative_beta)
+    beta = _check_beta(beta)
     _check_capacity(hamiltonian.dim)
     eig = hermitian_eig(hamiltonian)
     probabilities, _ = _boltzmann(eig, beta)
@@ -253,7 +240,7 @@ def verify_betas(
     measure the spectrum by SVD instead.
     """
     _check_dims(hamiltonian, observable)
-    betas = [_check_beta(beta, allow_negative_beta=False) for beta in betas]
+    betas = [_check_beta(beta) for beta in betas]
     _check_capacity(hamiltonian.dim)
     eig = hermitian_eig(hamiltonian)
     require_hermitian(observable, "observable")
@@ -301,31 +288,3 @@ def decohere_tfd(hamiltonian: Operator, beta: float) -> DensityMatrix:
     """
     return bipartite.reduced_density(thermofield_double(hamiltonian, beta))
 
-
-def gibbs_grand(
-    hamiltonian: Operator,
-    number_op: Operator,
-    beta: float,
-    mu: float,
-    *,
-    allow_negative_beta: bool = False,
-) -> DensityMatrix:
-    """Grand-canonical density matrix via the shifted Hamiltonian.
-
-    Standard construction: weights follow ``H - mu * N`` at the same
-    inverse temperature, which reduces to the canonical result when the
-    chemical potential vanishes or the number operator is a multiple of
-    the identity.
-    """
-    if number_op.dim != hamiltonian.dim:
-        raise ValidationError(
-            f"number operator dimension {number_op.dim} does not match "
-            f"Hamiltonian dimension {hamiltonian.dim}"
-        )
-    require_hermitian(hamiltonian, "Hamiltonian")
-    require_hermitian(number_op, "number operator")
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValidationError(f"chemical potential must be finite, got {mu}")
-    shifted = Operator(hamiltonian.matrix - mu * number_op.matrix)
-    return gibbs_density(shifted, beta, allow_negative_beta=allow_negative_beta)

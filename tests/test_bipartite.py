@@ -11,7 +11,6 @@ from thermofield.bipartite import (
     entanglement_entropy,
     environment_density,
     expectation,
-    from_product,
     joint_density,
     purify,
     reduced_density,
@@ -66,32 +65,9 @@ class TestBipartitePureState:
         assert state.amplitudes.shape == (3, 4)
 
 
-class TestFromProduct:
-    def test_basis_pair(self):
-        state = from_product(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        expected = np.zeros((2, 2))
-        expected[0, 0] = 1.0
-        np.testing.assert_allclose(state.amplitudes, expected)
-
-    def test_superposed_a(self):
-        a = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        b = np.array([0.0, 1.0])
-        state = from_product(a, b)
-        np.testing.assert_allclose(state.amplitudes[:, 1], a)
-        np.testing.assert_allclose(state.amplitudes[:, 0], [0.0, 0.0])
-
-    def test_random_product_has_rank_one(self):
-        state = from_product(random_unit_vector(3, seed=5), random_unit_vector(4, seed=6))
-        assert schmidt_decompose(state).rank == 1
-
-    def test_rejects_unnormalized_factor(self):
-        with pytest.raises(ValidationError):
-            from_product(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
-
-
 class TestExpectation:
     def test_product_basis_case(self):
-        state = from_product(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        state = BipartitePureState(np.outer(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
         assert expectation(state, Operator(np.diag([5.0, 7.0]))) == pytest.approx(5.0)
 
     def test_bell_balanced(self):
@@ -132,7 +108,7 @@ class TestExpectation:
 class TestReducedDensity:
     def test_product_state(self):
         a = random_unit_vector(3, seed=31)
-        state = from_product(a, random_unit_vector(2, seed=32))
+        state = BipartitePureState(np.outer(a, random_unit_vector(2, seed=32)))
         np.testing.assert_allclose(
             reduced_density(state).matrix, np.outer(a, a.conj()), atol=1e-12
         )
@@ -178,7 +154,9 @@ class TestDensityMatrix:
 
 class TestSchmidt:
     def test_product_rank_one(self):
-        state = from_product(random_unit_vector(2, seed=41), random_unit_vector(3, seed=42))
+        state = BipartitePureState(
+            np.outer(random_unit_vector(2, seed=41), random_unit_vector(3, seed=42))
+        )
         result = schmidt_decompose(state)
         assert result.rank == 1
         assert result.coefficients[0] == pytest.approx(1.0)
@@ -206,7 +184,9 @@ class TestSchmidt:
         np.testing.assert_allclose(dagger(ub) @ ub, np.eye(r), atol=1e-10)
 
     def test_zero_padding_beyond_rank(self):
-        state = from_product(random_unit_vector(2, seed=43), random_unit_vector(4, seed=44))
+        state = BipartitePureState(
+            np.outer(random_unit_vector(2, seed=43), random_unit_vector(4, seed=44))
+        )
         result = schmidt_decompose(state)
         assert result.rank == 1
         np.testing.assert_array_equal(result.basis_b[:, 1:], 0.0)
@@ -288,7 +268,9 @@ class TestPurify:
 
 class TestEntropy:
     def test_product_zero(self):
-        state = from_product(random_unit_vector(4, seed=45), random_unit_vector(3, seed=46))
+        state = BipartitePureState(
+            np.outer(random_unit_vector(4, seed=45), random_unit_vector(3, seed=46))
+        )
         assert entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_coefficient_is_positive_zero(self):
@@ -305,7 +287,9 @@ class TestEntropy:
         assert entanglement_entropy(BipartitePureState(amp)) == pytest.approx(want, abs=1e-12)
 
     def test_purity_criterion_both_directions(self):
-        product = from_product(random_unit_vector(3, seed=47), random_unit_vector(3, seed=48))
+        product = BipartitePureState(
+            np.outer(random_unit_vector(3, seed=47), random_unit_vector(3, seed=48))
+        )
         assert schmidt_decompose(product).rank == 1
         assert entanglement_entropy(product) < 1e-9
         entangled = bell_state()
@@ -315,7 +299,7 @@ class TestEntropy:
 
 class TestJointDensity:
     def test_product_corner(self):
-        state = from_product(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        state = BipartitePureState(np.outer(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
         joint = joint_density(state).matrix
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0

@@ -1,0 +1,333 @@
+"""Golden-bytes gate for the command-line tool.
+
+Every case runs ``cli.main`` in-process on fixed inputs and compares stdout,
+stderr and the exit code with files under ``tests/golden/``:
+
+* ``models/<kind>.json``: one model file per model kind;
+* ``inputs/``: an observable file, a Gibbs density file, a non-square
+  matrix and the state file that ``tfd --emit-state`` writes;
+* ``stdout/<case>``: the expected stdout bytes of each case that prints;
+* ``written/``: the files that ``--emit-state`` and ``--out`` write;
+* ``expected.json``: the exit code and stderr text of every case.
+
+Output of the diagonal models (``two_level``, ``oscillator``) and every
+error message must match byte for byte.  Output that depends on a dense
+factorization (Ising, ``random_hermitian``) must match exactly outside the
+numbers, and each number within 1e-12 relative, with the absolute floor
+1e-12 times the largest magnitude in the document: OpenBLAS picks its
+kernels by CPU, so last digits and rounding noise around zero can differ
+between machines.
+
+``python tests/test_golden.py`` writes the golden files that are missing.
+It never rewrites an existing one, so a change in output fails the gate
+instead of updating it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+STDOUT = GOLDEN / "stdout"
+EXPECTED = GOLDEN / "expected.json"
+
+KINDS = ("two_level", "oscillator", "ising", "random_hermitian")
+EXACT_KINDS = ("two_level", "oscillator")
+OBSERVABLES = {
+    "two_level": "energy",
+    "oscillator": "occupation",
+    "ising": "magnetization",
+    "random_hermitian": "inputs/observable16.json",
+}
+TWO_LEVEL = '{"kind": "two_level", "params": {"gap": 1.25}}'
+
+# Inputs that are not valid JSON text, written fresh into the working
+# directory of every run: a byte that is not UTF-8, an integer past
+# Python's 4300-digit conversion limit, and nesting past the recursion limit.
+BAD_FILES = {
+    "not_utf8.json": b'{"rows": 2\xff}',
+    "huge_int.json": b'{"rows": 1' + b"0" * 4300 + b"}",
+    "deep.json": b"[" * 100_000,
+}
+BAD_INLINE = {
+    # a 0xff byte in argv reaches the program as the lone surrogate U+DCFF
+    "not_utf8": '{"kind": "two_level\udcff", "params": {"gap": 1.0}}',
+    "huge_int": '{"kind": "two_level", "params": {"gap": 1' + "0" * 4300 + "}}",
+    "deep": '{"kind": ' + "[" * 100_000,
+}
+
+
+def model_json(kind: str, **params) -> str:
+    return json.dumps({"kind": kind, "params": params})
+
+
+def spectrum(model: str) -> list[str]:
+    return ["spectrum", "--model", model]
+
+
+def _cases() -> dict[str, tuple[list[str], bool]]:
+    """Case name -> (argv, whether numbers must match byte for byte)."""
+    cases = {}
+    for kind in KINDS:
+        model = ["--model", f"models/{kind}.json"]
+        exact = kind in EXACT_KINDS
+        for fmt in ("json", "csv"):
+            tail = ["--format", fmt]
+            cases[f"spectrum_{kind}.{fmt}"] = (["spectrum", *model, *tail], exact)
+            observable = ["--observable", OBSERVABLES[kind]]
+            cases[f"verify_{kind}.{fmt}"] = (
+                ["verify", *model, *observable, "--beta", "0,0.5,2,40", *tail],
+                exact,
+            )
+            cases[f"tfd_{kind}.{fmt}"] = (["tfd", *model, "--beta", "0,1,10", *tail], exact)
+    for fmt in ("json", "csv"):
+        cases[f"schmidt_state.{fmt}"] = (["schmidt", "inputs/state.json", "--format", fmt], True)
+        cases[f"purify_gibbs.{fmt}"] = (["purify", "inputs/gibbs.json", "--format", fmt], True)
+    cases.update(
+        {
+            "tfd_emit_state.json": (
+                ["tfd", "--model", "models/oscillator.json", "--beta", "0.8", "--emit-state",
+                 "state.json"],
+                True,
+            ),
+            "purify_emit_state.json": (
+                ["purify", "inputs/gibbs.json", "--emit-state", "purified.json"],
+                True,
+            ),
+            "verify_out.csv": (
+                ["verify", "--model", TWO_LEVEL, "--beta", "1", "--format", "csv", "--out",
+                 "report.csv"],
+                True,
+            ),
+            "spectrum_inline.json": (["spectrum", "--model", TWO_LEVEL], True),
+            "spectrum_seed_override.json": (
+                ["spectrum", "--model", "models/random_hermitian.json", "--seed", "7"],
+                False,
+            ),
+        }
+    )
+    potts = model_json("potts")
+    errors = {
+        "unknown_kind": ["spectrum", "--model", potts],
+        "missing_param": spectrum(model_json("oscillator", omega=1.0)),
+        "extra_param": spectrum(model_json("two_level", gap=1.0, bias=0.5)),
+        "missing_keys": spectrum('{"kind": "two_level"}'),
+        "param_out_of_range": spectrum(model_json("ising", n=11, j=1.0, h=1.0)),
+        "param_below_range": spectrum(model_json("oscillator", omega=1.0, cutoff=1)),
+        "param_not_integer": spectrum(model_json("random_hermitian", dim=4.0, seed=1)),
+        "param_bool": spectrum(model_json("random_hermitian", dim=4, seed=True)),
+        "param_not_positive": spectrum(model_json("two_level", gap=-1.0)),
+        "param_not_number": spectrum(model_json("two_level", gap="1")),
+        "param_int_too_large": spectrum(model_json("two_level", gap=10**400)),
+        "param_not_finite": spectrum(model_json("ising", n=2, j=math.inf, h=0)),
+        "levels_overflow": spectrum(model_json("oscillator", omega=1e308, cutoff=4)),
+        "invalid_model_json": spectrum('{"kind": '),
+        "negative_beta": ["verify", "--model", TWO_LEVEL, "--beta", "-1"],
+        "nan_beta": ["verify", "--model", TWO_LEVEL, "--beta", "0,nan"],
+        "bad_beta_list": ["tfd", "--model", TWO_LEVEL, "--beta", "1,x"],
+        "bad_model_and_beta": ["verify", "--model", potts, "--beta", "-1"],
+        "missing_model_file": spectrum("missing.json"),
+        "missing_state_file": ["schmidt", "missing.json"],
+        "missing_density_file": ["purify", "missing.json"],
+        "nonsquare_observable": [
+            "verify", "--model", TWO_LEVEL, "--beta", "1", "--observable", "inputs/nonsquare.json",
+        ],
+        "observable_dim_mismatch": [
+            "verify", "--model", TWO_LEVEL, "--beta", "1", "--observable", "inputs/observable16.json",
+        ],
+        "seed_on_fixed_model": [*spectrum("models/two_level.json"), "--seed", "3"],
+        "emit_state_many_betas": [
+            "tfd", "--model", TWO_LEVEL, "--beta", "0,1", "--emit-state", "x.json",
+        ],
+        "usage_error": [*spectrum(TWO_LEVEL), "--format", "xml"],
+        "nonsquare_density": ["purify", "inputs/nonsquare.json"],
+    }
+    for bad in BAD_INLINE:
+        errors[f"{bad}_model_file"] = spectrum(f"{bad}.json")
+        errors[f"{bad}_inline_model"] = spectrum(BAD_INLINE[bad])
+        errors[f"{bad}_matrix_file"] = ["purify", f"{bad}.json"]
+        errors[f"{bad}_state_file"] = ["schmidt", f"{bad}.json"]
+    cases.update({name: (argv, True) for name, argv in errors.items()})
+    return cases
+
+
+CASES = _cases()
+
+# Files a case writes, each compared with a golden file.
+WRITTEN = {
+    "tfd_emit_state.json": ("state.json", GOLDEN / "inputs" / "state.json"),
+    "purify_emit_state.json": ("purified.json", GOLDEN / "written" / "purified.json"),
+    "verify_out.csv": ("report.csv", GOLDEN / "written" / "report.csv"),
+}
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """``cli.main(argv)`` with stdout and stderr captured, as the executable exits."""
+    from thermofield import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def prepare(workdir: Path) -> None:
+    """Copy the golden inputs into ``workdir`` and write the bad files."""
+    for sub in ("models", "inputs"):
+        shutil.copytree(GOLDEN / sub, workdir / sub, dirs_exist_ok=True)
+    for name, data in BAD_FILES.items():
+        (workdir / name).write_bytes(data)
+
+
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+
+def assert_same_up_to_rounding(got: str, want: str) -> None:
+    """Equal outside the numbers; each number within 1e-12 relative."""
+    assert NUMBER.split(got) == NUMBER.split(want)
+    got_numbers = [float(x) for x in NUMBER.findall(got)]
+    want_numbers = [float(x) for x in NUMBER.findall(want)]
+    scale = max(map(abs, want_numbers), default=1.0)
+    for position, (g, w) in enumerate(zip(got_numbers, want_numbers)):
+        assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12 * scale), (position, g, w)
+
+
+def read_bytes(path: Path) -> str:
+    """A file's bytes as text, with no newline translation; "" if it is absent."""
+    return path.read_bytes().decode("utf-8") if path.exists() else ""
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    prepare(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, workdir):
+    argv, exact = CASES[name]
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[name]
+    code, stdout, stderr = run_cli(argv)
+    assert (code, stderr) == (expected["exit"], expected["stderr"])
+    outputs = [(read_bytes(STDOUT / name), stdout)]
+    if name in WRITTEN:
+        path, golden = WRITTEN[name]
+        outputs.append((read_bytes(golden), read_bytes(workdir / path)))
+    for want_text, got_text in outputs:
+        if exact:
+            assert got_text == want_text
+        else:
+            assert_same_up_to_rounding(got_text, want_text)
+
+
+def test_error_cases_print_one_line():
+    """Every bad input but a usage error ends in exit 2 and one stderr line."""
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    for name, outcome in expected.items():
+        if outcome["exit"] == 2 and name != "usage_error":
+            assert outcome["stderr"].startswith("error: "), name
+            assert outcome["stderr"].count("\n") == 1, name
+
+
+def test_every_model_kind_has_golden_spectrum():
+    """A new model kind needs its model file and golden spectrum to pass the gate."""
+    from thermofield import models
+
+    for kind in models.MODEL_KINDS:
+        assert (GOLDEN / "models" / f"{kind}.json").is_file(), kind
+        for fmt in ("json", "csv"):
+            assert f"spectrum_{kind}.{fmt}" in CASES, kind
+            assert (STDOUT / f"spectrum_{kind}.{fmt}").is_file(), kind
+
+
+def test_module_entry_point_matches_golden():
+    """``python -m thermofield`` writes the same bytes as the in-process runs."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "thermofield", "verify", "--model", "models/oscillator.json",
+         "--observable", "occupation", "--beta", "0,0.5,2,40", "--format", "csv"],
+        cwd=GOLDEN,
+        env=env,
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (STDOUT / "verify_oscillator.csv").read_bytes()
+
+
+def write_missing_golden() -> None:
+    """Write every golden file that does not exist yet; never rewrite one."""
+    import tempfile
+
+    import numpy as np
+
+    from thermofield import models, serialize, thermal
+
+    inputs = GOLDEN / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    STDOUT.mkdir(exist_ok=True)
+    (GOLDEN / "written").mkdir(exist_ok=True)
+    model_params = {
+        "two_level": {"gap": 1.25},
+        "oscillator": {"omega": 0.75, "cutoff": 6},
+        "ising": {"n": 5, "j": 0.9, "h": 1.1},
+        "random_hermitian": {"dim": 16, "seed": 2024},
+    }
+    files = {GOLDEN / "models" / f"{kind}.json": json.dumps({"kind": kind, "params": params})
+             for kind, params in model_params.items()}
+    g = models.random_complex_matrix(16, 16, 77)
+    files[inputs / "observable16.json"] = serialize.dump_matrix((g + g.conj().T) / 2.0)
+    files[inputs / "nonsquare.json"] = serialize.dump_matrix(np.ones((2, 3)))
+    oscillator = models.build_oscillator(0.75, 6)
+    gibbs = thermal.gibbs_density(oscillator, 0.8).matrix
+    files[inputs / "gibbs.json"] = serialize.dump_matrix(gibbs)
+    for path, text in files.items():
+        path.parent.mkdir(exist_ok=True)
+        if not path.exists():
+            path.write_text(text + "\n", encoding="utf-8")
+
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8")) if EXPECTED.exists() else {}
+    order = ["tfd_emit_state.json"] + [n for n in CASES if n != "tfd_emit_state.json"]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        prepare(workdir)
+        os.chdir(workdir)
+        try:
+            for name in order:
+                try:
+                    code, stdout, stderr = run_cli(CASES[name][0])
+                except Exception as exc:  # a crash is not a golden outcome
+                    print(f"skipped {name}: {type(exc).__name__}", file=sys.stderr)
+                    continue
+                if name in WRITTEN and not WRITTEN[name][1].exists():
+                    shutil.copyfile(workdir / WRITTEN[name][0], WRITTEN[name][1])
+                    prepare(workdir)  # the emitted state is an input of later cases
+                if name not in expected:
+                    expected[name] = {"exit": code, "stderr": stderr}
+                    if stdout:
+                        (STDOUT / name).write_text(stdout, encoding="utf-8")
+        finally:
+            os.chdir(cwd)
+    text = json.dumps(dict(sorted(expected.items())), indent=1)
+    EXPECTED.write_text(text + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_missing_golden()

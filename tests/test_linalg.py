@@ -12,7 +12,6 @@ from thermofield.linalg import (
     hermitian_eig,
     hermiticity_residual,
     identity,
-    kronecker_product,
     require_hermitian,
     svd,
     trace,
@@ -155,47 +154,6 @@ def test_factorizations_only_in_linalg():
         if path.name != "linalg.py" and kernel.search(path.read_text())
     ]
     assert offenders == []
-
-
-class TestKroneckerProduct:
-    def test_identity_times_identity(self):
-        out = kronecker_product(identity(2), identity(2))
-        np.testing.assert_array_equal(out.matrix, np.eye(4))
-
-    def test_a_major_diagonal_layout(self):
-        a = Operator(np.diag([3.0, 7.0]))
-        out = kronecker_product(a, identity(2))
-        np.testing.assert_allclose(out.matrix, np.diag([3.0, 3.0, 7.0, 7.0]))
-
-    def test_matrix_vector_factorization_seed_7(self):
-        a = random_complex_matrix(2, 2, seed=7)
-        b = random_complex_matrix(2, 2, seed=8)
-        v = random_complex_matrix(2, 1, seed=71)[:, 0]
-        w = random_complex_matrix(2, 1, seed=72)[:, 0]
-        big = kronecker_product(Operator(a), Operator(b)).matrix
-        lhs = big @ np.kron(v, w)
-        rhs = np.kron(a @ v, b @ w)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_associativity(self):
-        a = Operator(random_complex_matrix(2, 2, seed=21))
-        b = Operator(random_complex_matrix(3, 3, seed=22))
-        c = Operator(random_complex_matrix(2, 2, seed=23))
-        left = kronecker_product(kronecker_product(a, b), c).matrix
-        right = kronecker_product(a, kronecker_product(b, c)).matrix
-        np.testing.assert_allclose(left, right, atol=1e-12)
-
-    def test_trace_multiplicative(self):
-        a = Operator(random_complex_matrix(3, 3, seed=24))
-        b = Operator(random_complex_matrix(4, 4, seed=25))
-        product = trace(kronecker_product(a, b))
-        separate = trace(a) * trace(b)
-        assert abs(product - separate) <= 1e-12 * max(1.0, abs(separate))
-
-    def test_capacity_guard(self):
-        a = Operator(np.eye(70))
-        with pytest.raises(CapacityError):
-            kronecker_product(a, a)
 
 
 class TestHermitianEig:

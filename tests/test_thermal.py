@@ -21,7 +21,6 @@ from thermofield.thermal import (
     ThermalSpectrum,
     decohere_tfd,
     gibbs_density,
-    gibbs_grand,
     thermal_average,
     thermal_spectrum,
     thermofield_double,
@@ -74,11 +73,6 @@ class TestThermalSpectrum:
     def test_rejects_negative_beta_by_default(self):
         with pytest.raises(ValidationError):
             thermal_spectrum(build_two_level(1.0), beta=-1.0)
-
-    def test_negative_beta_opt_in(self):
-        spec = thermal_spectrum(build_two_level(1.0), beta=-LN2, allow_negative_beta=True)
-        # population inversion: excited state twice the ground weight
-        np.testing.assert_allclose(spec.probabilities, [1 / 3, 2 / 3], atol=1e-14)
 
     def test_rejects_nan_beta(self):
         with pytest.raises(ValidationError):
@@ -287,27 +281,3 @@ class TestDecohere:
         h = build_random_hermitian(5, seed=37)
         delta = decohere_tfd(h, beta=2.0).matrix - gibbs_density(h, 2.0).matrix
         assert np.linalg.norm(delta) <= 1e-10
-
-
-class TestGibbsGrand:
-    def test_zero_chemical_potential(self):
-        h = build_random_hermitian(4, seed=120)
-        n_op = Operator(np.diag([0.0, 1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(
-            gibbs_grand(h, n_op, 1.3, 0.0).matrix, gibbs_density(h, 1.3).matrix, atol=1e-14
-        )
-
-    def test_identity_number_shift_cancels(self):
-        h = build_random_hermitian(4, seed=121)
-        np.testing.assert_allclose(
-            gibbs_grand(h, identity(4), 1.3, 0.7).matrix,
-            gibbs_density(h, 1.3).matrix,
-            atol=1e-13,
-        )
-
-    def test_effective_zero_hamiltonian(self):
-        h = Operator(np.diag([0.0, 1.0, 2.0]))
-        n_op = Operator(np.diag([0.0, 1.0, 2.0]))
-        np.testing.assert_allclose(
-            gibbs_grand(h, n_op, 1.0, 1.0).matrix, np.eye(3) / 3.0, atol=1e-14
-        )
