@@ -150,6 +150,14 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
         "emit_state_many_betas": [
             "tfd", "--model", TWO_LEVEL, "--beta", "0,1", "--emit-state", "x.json",
         ],
+        "nan_tolerance": ["verify", "--model", TWO_LEVEL, "--beta", "1", "--tol", "nan"],
+        "negative_tolerance": ["purify", "inputs/gibbs.json", "--tol", "-1"],
+        # when two inputs are bad, the first check in this order reports:
+        # model, beta list, --tol, beta range, then the command's own checks
+        "bad_beta_and_tolerance": ["verify", "--model", TWO_LEVEL, "--beta=-1", "--tol", "nan"],
+        "bad_beta_and_emit_state": [
+            "tfd", "--model", TWO_LEVEL, "--beta=-1,2", "--emit-state", "x.json",
+        ],
         "usage_error": [*spectrum(TWO_LEVEL), "--format", "xml"],
         "nonsquare_density": ["purify", "inputs/nonsquare.json"],
     }
