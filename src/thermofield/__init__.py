@@ -30,10 +30,8 @@ from .linalg import (
     eigvalsh,
     hermitian_eig,
     hermiticity_residual,
-    identity,
     require_hermitian,
     svd,
-    trace,
 )
 from .models import (
     MODEL_KINDS,
@@ -83,7 +81,6 @@ __all__ = [
     "gibbs_density",
     "hermitian_eig",
     "hermiticity_residual",
-    "identity",
     "joint_density",
     "parse_model_spec",
     "purify",
@@ -98,7 +95,6 @@ __all__ = [
     "thermal_average",
     "thermal_spectrum",
     "thermofield_double",
-    "trace",
     "verify_betas",
     "verify_equivalence",
 ]

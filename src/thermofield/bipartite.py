@@ -142,7 +142,9 @@ class SchmidtResult:
     ``coefficients`` are nonnegative and descending with squares summing
     to 1; ``basis_a`` / ``basis_b`` hold the matching orthonormal columns.
     Columns of ``basis_b`` past ``rank`` are zero placeholders: the
-    surroundings vector is undefined where the coefficient vanishes.
+    surroundings vector is undefined where the coefficient vanishes.  From
+    :func:`schmidt_from_factors`, ``basis_b`` holds the coordinate indices
+    of the first ``rank`` surroundings vectors instead.
     """
 
     coefficients: np.ndarray
@@ -159,7 +161,7 @@ class SchmidtResult:
             raise ValidationError(
                 f"squared Schmidt coefficients must sum to 1, deviation {sum_dev:.3e}"
             )
-        expected_rank = int(np.sum(c > RANK_CUTOFF * c[0]))
+        expected_rank = _rank(c)
         if self.rank != expected_rank:
             raise ValidationError(
                 f"rank {self.rank} does not match coefficient count {expected_rank}"
@@ -203,89 +205,85 @@ def environment_density(state: BipartitePureState) -> DensityMatrix:
 
 
 def schmidt_decompose(state: BipartitePureState) -> SchmidtResult:
-    """Biorthogonal decomposition of a bipartite pure state.
+    """Biorthogonal decomposition of a bipartite pure state, measured by SVD.
 
-    The amplitude matrix is factored by SVD as ``sum_k c_k u_k b_k^T`` with
-    orthonormal ``u_k`` (system) and ``b_k`` (surroundings), and the factors
-    are passed to :func:`schmidt_from_factors`.  Each system
-    column is rephased so its first entry of largest modulus is real and
-    nonnegative, with the surroundings column compensating, which makes the
-    output deterministic whenever the coefficients are nondegenerate.
+    The amplitude matrix is factored as ``sum_k c_k u_k b_k^T`` with
+    orthonormal ``u_k`` (system) and ``b_k`` (surroundings), the rows of
+    ``vh`` transposed.  Each system column is rephased so its first entry
+    of largest modulus is real and nonnegative, with the surroundings
+    column compensating, which makes the output deterministic whenever the
+    coefficients are nondegenerate.  The surroundings columns past the rank
+    are zeroed.  A dense reconstruction is checked against the amplitudes
+    within 1e-10 Frobenius.
     """
-    u, s, v = svd(state.amplitudes)
-    # b_k[mu] = conj(V[mu, k]) reproduces a = sum c u b^T
-    return schmidt_from_factors(state, s, u, v.conj())
+    u, s, vh = svd(state.amplitudes)
+    rank = _rank(s)
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]  # first entry of largest modulus
+    # hypot is the scalar abs(); np.abs on arrays can differ in the last bit
+    phases = lead / np.hypot(lead.real, lead.imag)
+    u = u * phases.conjugate()[np.newaxis, :]
+    basis_b = vh.T * phases[np.newaxis, :]
+    basis_b[:, rank:] = 0.0
+    result = SchmidtResult(s, u, basis_b, rank)
+    _check_reconstruction(state, (u * s[np.newaxis, :]) @ basis_b.T)
+    return result
 
 
 def schmidt_from_factors(
     state: BipartitePureState,
     coefficients: np.ndarray,
     basis_a: np.ndarray,
-    basis_b: np.ndarray,
+    indices: np.ndarray,
 ) -> SchmidtResult:
-    """Schmidt decomposition of ``state`` from a known factorization.
+    """Schmidt decomposition of ``state`` from a construction in coordinates.
 
-    The factors must satisfy ``amplitudes = sum_k c_k a_k b_k^T`` with
-    nonnegative descending ``coefficients`` and orthonormal columns
-    ``a_k`` (``basis_a``) and ``b_k`` (``basis_b``), as an SVD gives or as
-    a construction states.  The inputs are not modified.  Counts the rank
-    and checks the reconstruction against the state's own amplitudes: a
-    residual above 1e-10 Frobenius raises :class:`ValidationError`, so a
-    wrong factorization cannot pass.
+    The factors must satisfy ``amplitudes = sum_k c_k a_k e_{indices[k]}^T``
+    with nonnegative descending ``coefficients``, orthonormal columns
+    ``a_k`` (``basis_a``) and ``k`` distinct coordinate indices of the
+    surroundings, as the thermal double gives in its energy eigenbasis.  A
+    coordinate vector carries no phase, so ``basis_a`` is kept as given,
+    and the result's ``basis_b`` holds the indices of the first ``rank``
+    vectors only.  The inputs are not modified.
 
-    ``basis_b`` takes one of two forms.
-
-    - A ``(dim_b, k)`` matrix of columns.  The phase convention of
-      :func:`schmidt_decompose` is applied, the surroundings columns past
-      the rank are zeroed, and the reconstruction is a dense product.
-    - A 1-D integer array of ``k`` distinct coordinate indices, for
-      ``b_k = e_{basis_b[k]}``, the coordinate basis vector of the
-      surroundings.  A coordinate vector carries no phase, so ``basis_a``
-      is kept as given, and the result's ``basis_b`` holds the indices of
-      the first ``rank`` vectors only.  The check scatters the scaled
-      columns ``c_k a_k`` into columns ``basis_b[:rank]`` of a zero matrix
-      and compares that with the amplitudes, in O(dim_a * dim_b) with no
-      matrix product.
+    The check scatters the scaled columns ``c_k a_k`` into columns
+    ``indices[:rank]`` of a zero matrix and compares that with the
+    amplitudes, in O(dim_a * dim_b) with no matrix product: a residual
+    above 1e-10 Frobenius raises :class:`ValidationError`, so a wrong
+    factorization cannot pass.
     """
-    rank = int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
-    amplitudes = state.amplitudes
+    rank = _rank(coefficients)
+    order = np.asarray(indices)
+    count = basis_a.shape[1]
+    if not np.issubdtype(order.dtype, np.integer) or order.shape != (count,):
+        raise ValidationError(
+            f"surroundings indices must be {count} integers, got {order.dtype} {order.shape}"
+        )
+    if np.any(order < 0) or np.any(order >= state.dim_b):
+        raise ValidationError(f"surroundings indices must lie in [0, {state.dim_b})")
+    if np.bincount(order, minlength=state.dim_b).max() > 1:
+        raise ValidationError("surroundings indices must be distinct")
+    result = SchmidtResult(coefficients, basis_a, order[:rank], rank)
+    rebuilt = np.zeros_like(state.amplitudes)
+    rebuilt[:, order[:rank]] = basis_a[:, :rank] * coefficients[np.newaxis, :rank]
+    _check_reconstruction(state, rebuilt)
+    return result
 
-    if np.ndim(basis_b) == 1:
-        order = _coordinate_indices(basis_b, basis_a.shape[1], state.dim_b)
-        result = SchmidtResult(coefficients, basis_a, order[:rank], rank)
-        rebuilt = np.zeros_like(amplitudes)
-        rebuilt[:, order[:rank]] = basis_a[:, :rank] * coefficients[np.newaxis, :rank]
-    else:
-        columns = np.arange(basis_a.shape[1])
-        lead = basis_a[np.argmax(np.abs(basis_a), axis=0), columns]  # first entry of largest modulus
-        # hypot is the scalar abs(); np.abs on arrays can differ in the last bit
-        phases = lead / np.hypot(lead.real, lead.imag)
-        u = basis_a * phases.conjugate()[np.newaxis, :]
-        basis_b = basis_b * phases[np.newaxis, :]
-        basis_b[:, rank:] = 0.0
-        result = SchmidtResult(coefficients, u, basis_b, rank)
-        rebuilt = (u * coefficients[np.newaxis, :]) @ basis_b.T
 
-    residual = float(np.linalg.norm(np.subtract(amplitudes, rebuilt, out=rebuilt)))
+def _rank(coefficients: np.ndarray) -> int:
+    """The count of Schmidt coefficients above ``RANK_CUTOFF`` times the largest."""
+    return int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
+
+
+def _check_reconstruction(state: BipartitePureState, rebuilt: np.ndarray) -> None:
+    """Raise if ``rebuilt`` is farther than 1e-10 Frobenius from the amplitudes.
+
+    ``rebuilt`` is overwritten with the difference.
+    """
+    residual = float(np.linalg.norm(np.subtract(state.amplitudes, rebuilt, out=rebuilt)))
     if residual > 1e-10:
         raise ValidationError(
             f"Schmidt reconstruction residual {residual:.3e} exceeds 1e-10"
         )
-    return result
-
-
-def _coordinate_indices(indices, count: int, dim_b: int) -> np.ndarray:
-    """``indices`` as ``count`` distinct integers in ``[0, dim_b)``, else raise."""
-    indices = np.asarray(indices)
-    if not np.issubdtype(indices.dtype, np.integer) or indices.shape != (count,):
-        raise ValidationError(
-            f"surroundings indices must be {count} integers, got {indices.dtype} {indices.shape}"
-        )
-    if np.any(indices < 0) or np.any(indices >= dim_b):
-        raise ValidationError(f"surroundings indices must lie in [0, {dim_b})")
-    if np.bincount(indices, minlength=dim_b).max() > 1:
-        raise ValidationError("surroundings indices must be distinct")
-    return indices
 
 
 def purify(rho: DensityMatrix) -> BipartitePureState:

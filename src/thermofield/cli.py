@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,31 +23,9 @@ from .errors import ValidationError
 from .linalg import Operator, dagger, hermitian_eig
 from .thermal import ThermalReport
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 CSV_HEADER = "beta,quantity,value"
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of the common command-line options."""
-
-    model: models.ModelSpec | None = None
-    observable: str = "identity"
-    betas: list[float] = field(default_factory=list)
-    output_format: str = "json"
-    output_path: str | None = None
-    tolerance: float = 1e-10
-    emit_state: str | None = None
-
-    def __post_init__(self):
-        if self.output_format not in ("json", "csv"):
-            raise ValidationError(f"unknown output format {self.output_format!r}")
-        if not math.isfinite(self.tolerance) or self.tolerance < 0.0:
-            raise ValidationError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
-        for b in self.betas:
-            if not math.isfinite(b) or b < 0.0:
-                raise ValidationError(f"beta values must be finite and nonnegative, got {b}")
 
 
 def _read_file(path: str) -> bytes:
@@ -71,7 +48,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _load_model(arg: str, seed_override: int | None) -> models.ModelSpec:
     """Accept inline JSON (leading '{') or a path to a model file."""
-    text = arg if arg.lstrip().startswith("{") else _read_file(arg)
+    # a byte-order mark is kept, so the JSON parser rejects it as in a file
+    text = arg if arg.lstrip().lstrip("\ufeff").startswith("{") else _read_file(arg)
     obj = serialize.parse_json(text, "model JSON")
     if seed_override is not None:
         if not isinstance(obj, dict) or obj.get("kind") != "random_hermitian":
@@ -100,6 +78,11 @@ def _parse_betas(arg: str) -> list[float]:
     if not betas:
         raise ValidationError("beta list must not be empty")
     return betas
+
+
+def _check_nonnegative(what: str, value: float) -> None:
+    if not math.isfinite(value) or value < 0.0:
+        raise ValidationError(f"{what} must be finite and nonnegative, got {value}")
 
 
 def _over_tolerance(what: str, residual: float, tolerance: float) -> str | None:
@@ -142,32 +125,33 @@ def _render(records: list, output_format: str, array: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Every command takes the validated config and the parsed arguments, and
-# returns its records and the stderr line of a residual over --tol (or None).
+# Every command takes the parsed arguments, with ``model`` loaded and ``beta``
+# a checked list of floats, and returns its records and the stderr line of a
+# residual over --tol (or None).
 
 
-def cmd_spectrum(config: RunConfig, args) -> tuple[list, str | None]:
+def cmd_spectrum(args: argparse.Namespace) -> tuple[list, str | None]:
     """The eigenvalues of the configured model, ascending."""
-    eigenvalues = hermitian_eig(models.build_model(config.model)).eigenvalues
+    eigenvalues = hermitian_eig(models.build_model(args.model)).eigenvalues
     return [[("eigenvalues", "eigenvalue", eigenvalues)]], None
 
 
-def cmd_verify(config: RunConfig, args) -> tuple[list, str | None]:
+def cmd_verify(args: argparse.Namespace) -> tuple[list, str | None]:
     """The equivalence check once per beta, in input order."""
-    hamiltonian = models.build_model(config.model)
-    observable = _resolve_observable(config.observable, hamiltonian)
-    reports = thermal.verify_betas(hamiltonian, config.betas, observable, config.observable)
+    hamiltonian = models.build_model(args.model)
+    observable = _resolve_observable(args.observable, hamiltonian)
+    reports = thermal.verify_betas(hamiltonian, args.beta, observable, args.observable)
     worst = max(r.residual for r in reports)
-    return reports, _over_tolerance("equivalence", worst, config.tolerance)
+    return reports, _over_tolerance("equivalence", worst, args.tolerance)
 
 
-def cmd_tfd(config: RunConfig, args) -> tuple[list, str | None]:
+def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:
     """The doubled-state Schmidt spectrum per beta; optionally save the state."""
-    hamiltonian = models.build_model(config.model)
-    if config.emit_state is not None and len(config.betas) != 1:
+    hamiltonian = models.build_model(args.model)
+    if args.emit_state is not None and len(args.beta) != 1:
         raise ValidationError("--emit-state requires exactly one beta value")
     records = []
-    for beta in config.betas:
+    for beta in args.beta:
         state = thermal.thermofield_double(hamiltonian, beta)
         coefficients = bipartite.schmidt_decompose(state).coefficients
         records.append(
@@ -177,25 +161,25 @@ def cmd_tfd(config: RunConfig, args) -> tuple[list, str | None]:
                 ("entropy", "entropy", bipartite.schmidt_entropy(coefficients)),
             ]
         )
-        if config.emit_state is not None:
-            _write_text(config.emit_state, serialize.dump_state(state) + "\n")
+        if args.emit_state is not None:
+            _write_text(args.emit_state, serialize.dump_state(state) + "\n")
     return records, None
 
 
-def cmd_purify(config: RunConfig, args) -> tuple[list, str | None]:
+def cmd_purify(args: argparse.Namespace) -> tuple[list, str | None]:
     """Purify a density-matrix file and report the round-trip residual."""
     rho = DensityMatrix(Operator(serialize.load_matrix(_read_file(args.density))))
     state = bipartite.purify(rho)
     a = state.amplitudes
     residual = float(np.linalg.norm(a @ dagger(a) - rho.matrix))
     state_json = serialize.dump_state(state)
-    if config.emit_state is not None:
-        _write_text(config.emit_state, state_json + "\n")
+    if args.emit_state is not None:
+        _write_text(args.emit_state, state_json + "\n")
     record = [("round_trip_residual", "round_trip_residual", residual), ("state", None, state_json)]
-    return [record], _over_tolerance("round-trip", residual, config.tolerance)
+    return [record], _over_tolerance("round-trip", residual, args.tolerance)
 
 
-def cmd_schmidt(config: RunConfig, args) -> tuple[list, str | None]:
+def cmd_schmidt(args: argparse.Namespace) -> tuple[list, str | None]:
     """Schmidt spectrum, rank, and entropy of a state file."""
     schmidt = bipartite.schmidt_decompose(serialize.load_state(_read_file(args.state)))
     record = [
@@ -260,19 +244,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command, array = _COMMANDS[args.command]
     try:
-        config = RunConfig(
-            model=_load_model(args.model, args.seed) if hasattr(args, "model") else None,
-            observable=getattr(args, "observable", "identity"),
-            betas=_parse_betas(args.beta) if hasattr(args, "beta") else [],
-            output_format=args.output_format,
-            output_path=args.output_path,
-            tolerance=args.tolerance,
-            emit_state=getattr(args, "emit_state", None),
-        )
-        records, failure = command(config, args)
-        text = _render(records, config.output_format, array)
-        if config.output_path is not None:
-            _write_text(config.output_path, text)
+        if hasattr(args, "model"):
+            args.model = _load_model(args.model, args.seed)
+        if hasattr(args, "beta"):
+            args.beta = _parse_betas(args.beta)
+        _check_nonnegative("tolerance", args.tolerance)
+        for beta in getattr(args, "beta", ()):
+            _check_nonnegative("beta values", beta)
+        records, failure = command(args)
+        text = _render(records, args.output_format, array)
+        if args.output_path is not None:
+            _write_text(args.output_path, text)
         else:
             sys.stdout.write(text)
     except ValidationError as exc:

@@ -30,7 +30,6 @@ __all__ = [
     "Operator",
     "EigResult",
     "dagger",
-    "identity",
     "hermiticity_residual",
     "scaled_hermiticity",
     "require_hermitian",
@@ -38,7 +37,6 @@ __all__ = [
     "eigvalsh",
     "svd",
     "singular_values",
-    "trace",
 ]
 
 # Largest allowed side of a square operator.  Guardrail against memory
@@ -135,13 +133,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def identity(dim: int) -> Operator:
-    """Identity operator of the given dimension."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
-    return Operator(np.eye(dim, dtype=np.complex128))
-
-
 def hermiticity_residual(m: np.ndarray) -> float:
     """Frobenius norm of ``M - M^dagger``."""
     return float(np.linalg.norm(m - dagger(m)))
@@ -174,19 +165,16 @@ def describe_residual(residual: float, scale: float, bound: float | None = None)
     return text if bound is None else f"{text} exceeds {bound:.3e}"
 
 
-def require_hermitian(m: Operator | np.ndarray, what: str = "operator") -> None:
-    """Reject matrices whose Hermiticity residual exceeds the tolerance.
+def require_hermitian(op: Operator, what: str = "operator") -> None:
+    """Reject an operator whose Hermiticity residual exceeds the tolerance.
 
     The bound is relative: ``||M - M^dagger||_F <= 1e-9 * max(1, ||M||_F)``,
     with both norms taken by :func:`scaled_hermiticity`, so neither
-    overflows for entries near the float limit.  For an :class:`Operator`
-    the norms are computed on the first call and kept on the instance;
-    every call still raises with its own ``what``.
+    overflows for entries near the float limit.  The norms are computed on
+    the first call and kept on the instance; every call still raises with
+    its own ``what``.
     """
-    if isinstance(m, Operator):
-        residual, norm, scale = m._hermiticity
-    else:
-        residual, norm, scale = scaled_hermiticity(m)
+    residual, norm, scale = op._hermiticity
     bound = HERMITICITY_TOL * max(1.0 / scale, norm)
     if residual > bound:
         raise ValidationError(
@@ -235,28 +223,23 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin singular value decomposition ``M = U diag(s) V^dagger``.
+    """Thin singular value decomposition ``M = U diag(s) Vh``, as numpy's.
 
     Returns
     -------
-    (u, s, v)
-        ``u`` and ``v`` have orthonormal complex128 columns; ``s`` is
-        nonnegative and sorted descending.  Note ``v`` is returned
-        directly, not ``v`` conjugate-transposed.
+    (u, s, vh)
+        ``u`` has orthonormal complex128 columns and ``vh`` orthonormal
+        complex128 rows; ``s`` is nonnegative and sorted descending.
 
     A real-valued ``m`` (every imaginary part exactly zero) is factored in
     real arithmetic, which can differ from the complex driver at rounding
     level.
     """
     u, s, vh = np.linalg.svd(_real_if_exact(m), full_matrices=False)
-    return u.astype(np.complex128, copy=False), s, dagger(vh).astype(np.complex128, copy=False)
+    return u.astype(np.complex128, copy=False), s, vh.astype(np.complex128, copy=False)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of ``m``, descending, as by :func:`svd` without vectors."""
     return np.linalg.svd(_real_if_exact(m), compute_uv=False)
 
-
-def trace(a: Operator) -> complex:
-    """Sum of the diagonal entries."""
-    return complex(np.trace(a.matrix))

@@ -69,14 +69,13 @@ class ThermalReport:
     observable_name: str
     trace_average: float
     doubled_expectation: float
-    residual: float
     entropy: float
     schmidt_coefficients: np.ndarray
 
-    def __post_init__(self):
-        expected = abs(self.trace_average - self.doubled_expectation)
-        if not math.isclose(self.residual, expected, rel_tol=0.0, abs_tol=1e-15):
-            raise ValidationError("residual must equal |trace_average - doubled_expectation|")
+    @property
+    def residual(self) -> float:
+        """``|trace_average - doubled_expectation|``."""
+        return abs(self.trace_average - self.doubled_expectation)
 
 
 def _check_beta(beta: float) -> float:
@@ -262,7 +261,6 @@ def verify_betas(
                 observable_name=observable_name,
                 trace_average=trace_average,
                 doubled_expectation=doubled,
-                residual=abs(trace_average - doubled),
                 entropy=bipartite.schmidt_entropy(schmidt.coefficients),
                 schmidt_coefficients=schmidt.coefficients,
             )

@@ -214,17 +214,16 @@ class TestSchmidt:
             phase = col[lead] / abs(col[lead])
             want_a[:, k] = col * phase.conjugate()
             want_b[:, k] = want_b[:, k] * phase
-        result = schmidt_from_factors(state, s, u, vh.T)
+        result = schmidt_decompose(state)
         assert result.basis_a.tobytes() == want_a.tobytes()
         assert result.basis_b.tobytes() == want_b.tobytes()
 
-    def test_from_factors_rejects_swapped_columns(self):
+    def test_from_factors_takes_coordinate_indices_only(self):
+        # surroundings columns are the SVD route, which is schmidt_decompose
         state = random_bipartite_state(4, 4, seed=23)
         u, s, vh = np.linalg.svd(state.amplitudes)
-        schmidt_from_factors(state, s, u, vh.T)
-        swapped = u[:, [1, 0, 2, 3]]
-        with pytest.raises(ValidationError, match="reconstruction residual"):
-            schmidt_from_factors(state, s, swapped, vh.T)
+        with pytest.raises(ValidationError, match="must be 4 integers"):
+            schmidt_from_factors(state, s, u, vh.T)
 
     def test_schmidt_basis_double_sum_collapses(self):
         # double sum over the lifted observable in the Schmidt basis equals

@@ -54,17 +54,20 @@ TWO_LEVEL = '{"kind": "two_level", "params": {"gap": 1.25}}'
 
 # Inputs that are not valid JSON text, written fresh into the working
 # directory of every run: a byte that is not UTF-8, an integer past
-# Python's 4300-digit conversion limit, and nesting past the recursion limit.
+# Python's 4300-digit conversion limit, nesting past the recursion limit,
+# and a leading UTF-8 byte-order mark.
 BAD_FILES = {
     "not_utf8.json": b'{"rows": 2\xff}',
     "huge_int.json": b'{"rows": 1' + b"0" * 4300 + b"}",
     "deep.json": b"[" * 100_000,
+    "bom.json": b"\xef\xbb\xbf" + TWO_LEVEL.encode(),
 }
 BAD_INLINE = {
     # a 0xff byte in argv reaches the program as the lone surrogate U+DCFF
     "not_utf8": '{"kind": "two_level\udcff", "params": {"gap": 1.0}}',
     "huge_int": '{"kind": "two_level", "params": {"gap": 1' + "0" * 4300 + "}}",
     "deep": '{"kind": ' + "[" * 100_000,
+    "bom": "\ufeff" + TWO_LEVEL,
 }
 
 

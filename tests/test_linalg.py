@@ -11,10 +11,8 @@ from thermofield.linalg import (
     dagger,
     hermitian_eig,
     hermiticity_residual,
-    identity,
     require_hermitian,
     svd,
-    trace,
 )
 from thermofield.models import build_random_hermitian, random_complex_matrix
 
@@ -63,16 +61,17 @@ class TestDaggerIdentityTrace:
 
     def test_identity_trace_is_dim(self):
         for d in (1, 2, 7):
-            assert trace(Operator(np.eye(d))) == pytest.approx(d)
-            np.testing.assert_array_equal(identity(d).matrix, np.eye(d))
+            op = Operator(np.eye(d))
+            assert np.trace(op.matrix) == pytest.approx(d)
+            np.testing.assert_array_equal(op.matrix, np.eye(d))
 
     def test_trace_half_half(self):
-        assert trace(Operator(np.diag([0.5, 0.5]))) == pytest.approx(1.0)
+        assert np.trace(Operator(np.diag([0.5, 0.5])).matrix) == pytest.approx(1.0)
 
     def test_trace_matches_eigenvalue_sum_seed_3(self):
         h = build_random_hermitian(4, seed=3)
         eig = hermitian_eig(h)
-        assert abs(trace(h) - float(np.sum(eig.eigenvalues))) <= 1e-10
+        assert abs(np.trace(h.matrix) - float(np.sum(eig.eigenvalues))) <= 1e-10
 
 
 class TestHermiticity:
@@ -85,31 +84,31 @@ class TestHermiticity:
         assert hermiticity_residual(m) == pytest.approx(np.sqrt(2.0))
 
     def test_require_hermitian_raises_with_residual(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        op = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValidationError, match="residual"):
-            require_hermitian(m, "test matrix")
+            require_hermitian(op, "test matrix")
 
     def test_relative_scaling(self):
         # perturbation tiny relative to a huge matrix: accepted
         h = 1e8 * build_random_hermitian(3, seed=12).matrix
         noise = np.zeros((3, 3), dtype=complex)
         noise[0, 1] = 1e-3
-        require_hermitian(h + noise, "scaled")
+        require_hermitian(Operator(h + noise), "scaled")
         # the same absolute perturbation on a unit-scale matrix: rejected
-        with pytest.raises(ValidationError):
-            require_hermitian(np.eye(3, dtype=complex) + noise, "unit scale")
+        with pytest.raises(ValidationError, match="unit scale is not Hermitian"):
+            require_hermitian(Operator(np.eye(3, dtype=complex) + noise), "unit scale")
 
     def test_rejects_asymmetry_near_float_limit(self):
         # ||M||_F overflows here; the bound must stay finite
         with pytest.raises(ValidationError, match="not Hermitian"):
-            require_hermitian(np.array([[1e308, 1e308], [0.0, 0.0]]))
-        require_hermitian(np.array([[1e308, 1e308], [1e308, -1e308]]))
-        require_hermitian(np.full((2, 2), 5e-324))
+            require_hermitian(Operator(np.array([[1e308, 1e308], [0.0, 0.0]])))
+        require_hermitian(Operator(np.array([[1e308, 1e308], [1e308, -1e308]])))
+        require_hermitian(Operator(np.full((2, 2), 5e-324)))
 
     def test_residual_past_float_range_named_not_printed(self):
         # ||M - M^dagger||_F = 2.8e308 is not a float
         with pytest.raises(ValidationError) as info:
-            require_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+            require_hermitian(Operator(np.array([[0.0, 1e308], [-1e308, 0.0]])))
         message = str(info.value)
         assert message == "operator is not Hermitian: residual exceeds the float range"
         assert "inf" not in message
@@ -134,14 +133,6 @@ class TestHermiticity:
         require_hermitian(good, "observable")
         hermitian_eig(good)
         assert len(calls) == 2
-
-    def test_operator_and_matrix_verdicts_agree(self):
-        h = 1e8 * build_random_hermitian(3, seed=12).matrix
-        noise = np.zeros((3, 3), dtype=complex)
-        noise[0, 1] = 1e-3
-        require_hermitian(Operator(h + noise), "scaled")
-        with pytest.raises(ValidationError, match="unit scale is not Hermitian"):
-            require_hermitian(Operator(np.eye(3, dtype=complex) + noise), "unit scale")
 
 
 def test_factorizations_only_in_linalg():
@@ -205,7 +196,7 @@ class TestHermitianEig:
 
 class TestSvd:
     def test_signed_diagonal(self):
-        u, s, v = svd(np.diag([2.0, -3.0]))
+        _, s, _ = svd(np.diag([2.0, -3.0]))
         np.testing.assert_allclose(s, [3.0, 2.0])
 
     def test_rank_one(self):
@@ -213,14 +204,21 @@ class TestSvd:
         a = a / np.linalg.norm(a)
         b = random_complex_matrix(3, 1, seed=52)[:, 0]
         b = b / np.linalg.norm(b)
-        u, s, v = svd(np.outer(a, b.conj()))
+        _, s, _ = svd(np.outer(a, b.conj()))
         np.testing.assert_allclose(s, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_reconstruction_seed_11(self):
         m = random_complex_matrix(3, 4, seed=11)
-        u, s, v = svd(m)
-        recon = (u * s[np.newaxis, :]) @ dagger(v)
+        u, s, vh = svd(m)
+        recon = (u * s[np.newaxis, :]) @ vh
         assert np.linalg.norm(m - recon) <= 1e-10
+
+    def test_returns_numpys_factors(self):
+        m = random_complex_matrix(4, 6, seed=12)
+        got = svd(m)
+        want = np.linalg.svd(m, full_matrices=False)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_descending(self):
         _, s, _ = svd(random_complex_matrix(5, 3, seed=53))

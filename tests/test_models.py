@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from thermofield.errors import ValidationError
-from thermofield.linalg import Operator, hermitian_eig, hermiticity_residual, trace
+from thermofield.linalg import Operator, hermitian_eig, hermiticity_residual
 from thermofield.models import (
     MODEL_KINDS,
     ModelSpec,
@@ -217,7 +217,7 @@ class TestRandomHermitian:
     def test_trace_equals_eigenvalue_sum_seed_31(self):
         op = build_random_hermitian(6, seed=31)
         eig = hermitian_eig(op)
-        assert abs(trace(op) - float(np.sum(eig.eigenvalues))) <= 1e-10
+        assert abs(np.trace(op.matrix) - float(np.sum(eig.eigenvalues))) <= 1e-10
 
 
 class TestGeneratorVectors:

@@ -113,16 +113,16 @@ class TestAgreementWithComplexDriver:
         assert np.max(np.abs(rebuilt - m)) <= tol
         assert np.max(np.abs(dagger(v) @ v - np.eye(len(m)))) <= 1e-12
 
-        u, s, w = svd(m)
+        u, s, vh = svd(m)
         np.testing.assert_allclose(s, want_s, rtol=0.0, atol=tol)
         np.testing.assert_allclose(singular_values(m), want_s, rtol=0.0, atol=tol)
-        assert np.max(np.abs((u * s[np.newaxis, :]) @ dagger(w) - m)) <= tol
+        assert np.max(np.abs((u * s[np.newaxis, :]) @ vh - m)) <= tol
 
     def test_rectangular_svd(self):
         m = np.random.default_rng(6).normal(size=(7, 5)).astype(complex)
-        u, s, v = svd(m)
+        u, s, vh = svd(m)
         np.testing.assert_allclose(s, np.linalg.svd(m, compute_uv=False), rtol=0.0, atol=1e-12)
-        assert np.max(np.abs((u * s[np.newaxis, :]) @ dagger(v) - m)) <= 1e-12
+        assert np.max(np.abs((u * s[np.newaxis, :]) @ vh - m)) <= 1e-12
 
 
 class TestContracts:
@@ -136,8 +136,8 @@ class TestContracts:
             eig.eigenvectors[0, 0] = 0.0
 
     def test_svd_factors_complex(self):
-        u, s, v = svd(real_symmetric(6, seed=3))
-        assert u.dtype == v.dtype == np.complex128
+        u, s, vh = svd(real_symmetric(6, seed=3))
+        assert u.dtype == vh.dtype == np.complex128
         assert s.dtype == np.float64
 
     def test_complex_input_unchanged(self):

@@ -4,8 +4,8 @@
 diagonalization, one ``F @ V``) and must give, field for field and bit for
 bit, what one ``verify_equivalence`` call per beta gives.  The thermal
 double's surroundings basis is passed to ``schmidt_from_factors`` as
-coordinate indices; the dense permuted-identity form it replaces is kept
-here as the reference.
+coordinate indices; the dense permuted-identity check it replaces is
+kept here as the reference.
 """
 
 import json
@@ -16,10 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from test_cli import count_calls
 
 from thermofield import bipartite, cli, thermal
-from thermofield.bipartite import schmidt_from_factors
+from thermofield.bipartite import (
+    RANK_CUTOFF,
+    BipartitePureState,
+    SchmidtResult,
+    schmidt_from_factors,
+)
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import hermitian_eig
 from thermofield.models import (
@@ -83,11 +89,15 @@ def construction_factors(h, beta):
 
 
 def dense_reference(state, coefficients, basis_a, order):
-    """The permuted-identity form the index form replaces."""
-    dim = state.dim_b
-    return schmidt_from_factors(
-        state, coefficients, basis_a, np.eye(dim, dtype=np.complex128)[:, order]
-    )
+    """The check the index form replaces: a dense product with permuted identity columns."""
+    rank = int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
+    basis_b = np.eye(state.dim_b, dtype=np.complex128)[:, order]
+    basis_b[:, rank:] = 0.0
+    result = SchmidtResult(coefficients, basis_a, basis_b, rank)
+    residual = np.linalg.norm(state.amplitudes - (basis_a * coefficients) @ basis_b.T)
+    if residual > 1e-10:
+        raise ValidationError(f"Schmidt reconstruction residual {residual:.3e} exceeds 1e-10")
+    return result
 
 
 def passes(check) -> bool:
@@ -135,6 +145,36 @@ class TestBatchEqualsSingleCalls:
         bound = 1e-10 * max(1.0, float(np.linalg.norm(f.matrix, 2)))
         for report in assert_batch_matches_single_calls(h, betas, f):
             assert report.residual <= bound
+
+
+class TestBothSchmidtRoutes:
+    """A unitary on the surroundings alone changes no system quantity.
+
+    The tilde basis is only the surroundings' coordinate basis: rotating it
+    by any ``U`` leaves the expectation of ``F (x) 1`` at the Gibbs average,
+    and the Schmidt spectrum measured by SVD equal to the one ``verify``
+    takes from the construction.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=32),
+        seed_h=st.integers(min_value=0, max_value=2**63 - 1),
+        seed_f=st.integers(min_value=0, max_value=2**63 - 1),
+        seed_u=st.integers(min_value=0, max_value=2**63 - 1),
+        beta=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_property_surroundings_rotation(self, dim, seed_h, seed_f, seed_u, beta):
+        h = build_random_hermitian(dim, seed=seed_h)
+        f = build_random_hermitian(dim, seed=seed_f)
+        u = oracles.random_unitary(dim, seed_u)
+        rotated = BipartitePureState(thermofield_double(h, beta).amplitudes @ u.T)
+        bound = 1e-10 * max(1.0, float(np.linalg.norm(f.matrix, 2)))
+        want = thermal.thermal_average(h, beta, f)
+        assert abs(bipartite.expectation(rotated, f) - want) <= bound
+        measured = bipartite.schmidt_decompose(rotated).coefficients
+        constructed = verify_equivalence(h, beta, f).schmidt_coefficients
+        np.testing.assert_allclose(measured, constructed, rtol=0.0, atol=1e-12)
 
 
 class TestOrderOfWork:
