@@ -20,7 +20,6 @@ from .bipartite import (
     reduced_density,
     schmidt_decompose,
     schmidt_entropy,
-    schmidt_from_factors,
 )
 from .errors import CapacityError, ValidationError
 from .linalg import (
@@ -90,7 +89,6 @@ __all__ = [
     "require_hermitian",
     "schmidt_decompose",
     "schmidt_entropy",
-    "schmidt_from_factors",
     "svd",
     "thermal_average",
     "thermal_spectrum",

@@ -36,7 +36,6 @@ __all__ = [
     "reduced_density",
     "environment_density",
     "schmidt_decompose",
-    "schmidt_from_factors",
     "purify",
     "entanglement_entropy",
     "schmidt_entropy",
@@ -142,9 +141,9 @@ class SchmidtResult:
     ``coefficients`` are nonnegative and descending with squares summing
     to 1; ``basis_a`` / ``basis_b`` hold the matching orthonormal columns.
     Columns of ``basis_b`` past ``rank`` are zero placeholders: the
-    surroundings vector is undefined where the coefficient vanishes.  From
-    :func:`schmidt_from_factors`, ``basis_b`` holds the coordinate indices
-    of the first ``rank`` surroundings vectors instead.
+    surroundings vector is undefined where the coefficient vanishes.  The
+    squares may deviate from 1 by as much as a state's norm may
+    (``NORM_TOL``), so every admitted state has a Schmidt form.
     """
 
     coefficients: np.ndarray
@@ -157,7 +156,7 @@ class SchmidtResult:
         if np.any(c < 0.0) or np.any(np.diff(c) > 0.0):
             raise ValidationError("Schmidt coefficients must be nonnegative and descending")
         sum_dev = abs(float(np.sum(c**2)) - 1.0)
-        if sum_dev > 1e-10:
+        if sum_dev > NORM_TOL:
             raise ValidationError(
                 f"squared Schmidt coefficients must sum to 1, deviation {sum_dev:.3e}"
             )
@@ -225,65 +224,15 @@ def schmidt_decompose(state: BipartitePureState) -> SchmidtResult:
     basis_b = vh.T * phases[np.newaxis, :]
     basis_b[:, rank:] = 0.0
     result = SchmidtResult(s, u, basis_b, rank)
-    _check_reconstruction(state, (u * s[np.newaxis, :]) @ basis_b.T)
-    return result
-
-
-def schmidt_from_factors(
-    state: BipartitePureState,
-    coefficients: np.ndarray,
-    basis_a: np.ndarray,
-    indices: np.ndarray,
-) -> SchmidtResult:
-    """Schmidt decomposition of ``state`` from a construction in coordinates.
-
-    The factors must satisfy ``amplitudes = sum_k c_k a_k e_{indices[k]}^T``
-    with nonnegative descending ``coefficients``, orthonormal columns
-    ``a_k`` (``basis_a``) and ``k`` distinct coordinate indices of the
-    surroundings, as the thermal double gives in its energy eigenbasis.  A
-    coordinate vector carries no phase, so ``basis_a`` is kept as given,
-    and the result's ``basis_b`` holds the indices of the first ``rank``
-    vectors only.  The inputs are not modified.
-
-    The check scatters the scaled columns ``c_k a_k`` into columns
-    ``indices[:rank]`` of a zero matrix and compares that with the
-    amplitudes, in O(dim_a * dim_b) with no matrix product: a residual
-    above 1e-10 Frobenius raises :class:`ValidationError`, so a wrong
-    factorization cannot pass.
-    """
-    rank = _rank(coefficients)
-    order = np.asarray(indices)
-    count = basis_a.shape[1]
-    if not np.issubdtype(order.dtype, np.integer) or order.shape != (count,):
-        raise ValidationError(
-            f"surroundings indices must be {count} integers, got {order.dtype} {order.shape}"
-        )
-    if np.any(order < 0) or np.any(order >= state.dim_b):
-        raise ValidationError(f"surroundings indices must lie in [0, {state.dim_b})")
-    if np.bincount(order, minlength=state.dim_b).max() > 1:
-        raise ValidationError("surroundings indices must be distinct")
-    result = SchmidtResult(coefficients, basis_a, order[:rank], rank)
-    rebuilt = np.zeros_like(state.amplitudes)
-    rebuilt[:, order[:rank]] = basis_a[:, :rank] * coefficients[np.newaxis, :rank]
-    _check_reconstruction(state, rebuilt)
+    residual = float(np.linalg.norm(state.amplitudes - (u * s[np.newaxis, :]) @ basis_b.T))
+    if residual > 1e-10:
+        raise ValidationError(f"Schmidt reconstruction residual {residual:.3e} exceeds 1e-10")
     return result
 
 
 def _rank(coefficients: np.ndarray) -> int:
     """The count of Schmidt coefficients above ``RANK_CUTOFF`` times the largest."""
     return int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
-
-
-def _check_reconstruction(state: BipartitePureState, rebuilt: np.ndarray) -> None:
-    """Raise if ``rebuilt`` is farther than 1e-10 Frobenius from the amplitudes.
-
-    ``rebuilt`` is overwritten with the difference.
-    """
-    residual = float(np.linalg.norm(np.subtract(state.amplitudes, rebuilt, out=rebuilt)))
-    if residual > 1e-10:
-        raise ValidationError(
-            f"Schmidt reconstruction residual {residual:.3e} exceeds 1e-10"
-        )
 
 
 def purify(rho: DensityMatrix) -> BipartitePureState:
@@ -315,11 +264,12 @@ def schmidt_entropy(coefficients: np.ndarray) -> float:
     """Entropy of entanglement in nats, from the Schmidt coefficients.
 
     ``-sum p ln p`` over the squared coefficients, dropping probabilities
-    at or below 1e-15.  A product state gives ``+0.0``, never ``-0.0``.
+    at or below 1e-15.  The result is never negative: a product state gives
+    ``+0.0``, also when its coefficient is a rounding step above 1.
     """
     p = np.asarray(coefficients, dtype=np.float64) ** 2
     p = p[p > ENTROPY_CUTOFF]
-    return float(-np.sum(p * np.log(p))) + 0.0  # + 0.0 maps -0.0 to +0.0
+    return max(0.0, float(-np.sum(p * np.log(p))))
 
 
 def joint_density(state: BipartitePureState) -> DensityMatrix:

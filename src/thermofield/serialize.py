@@ -1,8 +1,9 @@
 """JSON file formats shared by the library and the CLI.
 
 All numbers are rendered with 17 significant digits so float64 values
-round-trip bit-stably, and every object is emitted with a fixed key order,
-making whole documents byte-reproducible.  Three flat schemas:
+round-trip bit-stably (``-0.0`` is written as ``0``), and every object is
+emitted with a fixed key order, making whole documents byte-reproducible.
+Three flat schemas:
 
 * matrix:  ``{"rows": R, "cols": C, "re": [R*C], "im": [R*C]}`` row-major
 * state:   ``{"dim_a": dA, "dim_b": dB, "re": [dA*dB], "im": [dA*dB]}``
@@ -36,8 +37,8 @@ __all__ = [
 
 
 def render_number(x) -> str:
-    """One JSON number with 17 significant digits."""
-    return f"{float(x):.17g}"
+    """One JSON number with 17 significant digits; ``-0.0`` is written ``0``."""
+    return f"{float(x) + 0.0:.17g}"  # + 0.0 maps -0.0 to +0.0
 
 
 def render_number_array(values) -> str:
@@ -46,7 +47,7 @@ def render_number_array(values) -> str:
     One ``%`` format call over the whole list; ``"%.17g" % x`` and
     ``f"{x:.17g}"`` give the same bytes for every float.
     """
-    numbers = np.asarray(values, dtype=np.float64).tolist()
+    numbers = (np.asarray(values, dtype=np.float64) + 0.0).tolist()
     return "[" + ", ".join(["%.17g"] * len(numbers)) % tuple(numbers) + "]"
 
 

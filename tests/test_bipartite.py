@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from thermofield import bipartite
 from thermofield.bipartite import (
+    NORM_TOL,
     BipartitePureState,
     DensityMatrix,
     entanglement_entropy,
@@ -16,7 +19,6 @@ from thermofield.bipartite import (
     reduced_density,
     schmidt_decompose,
     schmidt_entropy,
-    schmidt_from_factors,
 )
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import Operator, dagger
@@ -26,6 +28,8 @@ from thermofield.models import (
     random_complex_matrix,
     random_unit_vector,
 )
+from thermofield.serialize import dump_state, load_state
+from thermofield.thermal import thermofield_double
 
 
 def bell_state() -> BipartitePureState:
@@ -218,13 +222,6 @@ class TestSchmidt:
         assert result.basis_a.tobytes() == want_a.tobytes()
         assert result.basis_b.tobytes() == want_b.tobytes()
 
-    def test_from_factors_takes_coordinate_indices_only(self):
-        # surroundings columns are the SVD route, which is schmidt_decompose
-        state = random_bipartite_state(4, 4, seed=23)
-        u, s, vh = np.linalg.svd(state.amplitudes)
-        with pytest.raises(ValidationError, match="must be 4 integers"):
-            schmidt_from_factors(state, s, u, vh.T)
-
     def test_schmidt_basis_double_sum_collapses(self):
         # double sum over the lifted observable in the Schmidt basis equals
         # the single diagonal sum
@@ -273,8 +270,15 @@ class TestEntropy:
         assert entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_coefficient_is_positive_zero(self):
-        entropy = schmidt_entropy(np.array([1.0, 0.0]))
-        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+        # a leading coefficient one rounding step above 1 gives -sum p ln p < 0,
+        # as the deep-cold thermal double of this random model has
+        cold = thermofield_double(build_random_hermitian(6, seed=3), 1e4)
+        for entropy in (
+            schmidt_entropy(np.array([1.0, 0.0])),
+            schmidt_entropy(np.array([1.0000000000000002, 0.0])),
+            entanglement_entropy(cold),
+        ):
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
     def test_bell_ln2(self):
         assert entanglement_entropy(bell_state()) == pytest.approx(math.log(2.0), abs=1e-12)
@@ -294,6 +298,31 @@ class TestEntropy:
         entangled = bell_state()
         assert schmidt_decompose(entangled).rank > 1
         assert entanglement_entropy(entangled) > 1e-9
+
+
+class TestAdmittedIsAccepted:
+    """A state that ``BipartitePureState`` admits, every later step accepts.
+
+    The chain is admission, ``schmidt_decompose``, then ``dump_state`` and
+    ``load_state``; the norm may be off by up to 0.99 ``NORM_TOL``.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        dim_a=st.integers(min_value=1, max_value=12),
+        dim_b=st.integers(min_value=1, max_value=12),
+        rank=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**62),
+        deviation=st.floats(min_value=-0.99e-9, max_value=0.99e-9),
+    )
+    def test_property_state_schmidt_file(self, dim_a, dim_b, rank, seed, deviation):
+        g = random_complex_matrix(dim_a, rank, seed) @ random_complex_matrix(rank, dim_b, seed + 1)
+        state = BipartitePureState(g * (math.sqrt(1.0 + deviation) / np.linalg.norm(g)))
+        result = schmidt_decompose(state)
+        assert abs(float(np.sum(result.coefficients**2)) - 1.0) <= NORM_TOL
+        again = load_state(dump_state(state))
+        assert again.amplitudes.tobytes() == state.amplitudes.tobytes()
+        assert schmidt_decompose(again).coefficients.tobytes() == result.coefficients.tobytes()
 
 
 class TestJointDensity:

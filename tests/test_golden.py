@@ -5,7 +5,8 @@ stderr and the exit code with files under ``tests/golden/``:
 
 * ``models/<kind>.json``: one model file per model kind;
 * ``inputs/``: an observable file, a Gibbs density file, a non-square
-  matrix and the state file that ``tfd --emit-state`` writes;
+  matrix, a state whose norm is off by 5e-10 (within admission) and the
+  state files that ``tfd --emit-state`` writes;
 * ``stdout/<case>``: the expected stdout bytes of each case that prints;
 * ``written/``: the files that ``--emit-state`` and ``--out`` write;
 * ``expected.json``: the exit code and stderr text of every case.
@@ -16,7 +17,7 @@ factorization (Ising, ``random_hermitian``) must match exactly outside the
 numbers, and each number within 1e-12 relative, with the absolute floor
 1e-12 times the largest magnitude in the document: OpenBLAS picks its
 kernels by CPU, so last digits and rounding noise around zero can differ
-between machines.
+between machines.  No output may hold a negative zero.
 
 ``python tests/test_golden.py`` writes the golden files that are missing.
 It never rewrites an existing one, so a change in output fails the gate
@@ -51,6 +52,13 @@ OBSERVABLES = {
     "random_hermitian": "inputs/observable16.json",
 }
 TWO_LEVEL = '{"kind": "two_level", "params": {"gap": 1.25}}'
+# deep-cold configs: the SVD of their thermal doubles can return -0.0
+# coefficients, and for the random one a leading coefficient a rounding
+# step above 1, whose entropy sum is just below 0
+COLD = {
+    "ising_cold": '{"kind": "ising", "params": {"n": 2, "j": 1.0, "h": 1.0}}',
+    "random_cold": '{"kind": "random_hermitian", "params": {"dim": 6, "seed": 3}}',
+}
 
 # Inputs that are not valid JSON text, written fresh into the working
 # directory of every run: a byte that is not UTF-8, an integer past
@@ -97,6 +105,20 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
     for fmt in ("json", "csv"):
         cases[f"schmidt_state.{fmt}"] = (["schmidt", "inputs/state.json", "--format", fmt], True)
         cases[f"purify_gibbs.{fmt}"] = (["purify", "inputs/gibbs.json", "--format", fmt], True)
+    for name, model in COLD.items():
+        emit = ["--emit-state", f"{name}_state.json"]
+        cases[f"tfd_{name}.json"] = (["tfd", "--model", model, "--beta", "1e4", *emit], False)
+        cases[f"tfd_{name}.csv"] = (
+            ["tfd", "--model", model, "--beta", "1e4", "--format", "csv"], False
+        )
+        for fmt in ("json", "csv"):
+            cases[f"schmidt_{name}.{fmt}"] = (
+                ["schmidt", f"inputs/{name}_state.json", "--format", fmt], False
+            )
+    for fmt in ("json", "csv"):
+        cases[f"schmidt_off_norm.{fmt}"] = (
+            ["schmidt", "inputs/state_off_norm.json", "--format", fmt], True
+        )
     cases.update(
         {
             "tfd_emit_state.json": (
@@ -180,6 +202,10 @@ WRITTEN = {
     "tfd_emit_state.json": ("state.json", GOLDEN / "inputs" / "state.json"),
     "purify_emit_state.json": ("purified.json", GOLDEN / "written" / "purified.json"),
     "verify_out.csv": ("report.csv", GOLDEN / "written" / "report.csv"),
+    **{
+        f"tfd_{name}.json": (f"{name}_state.json", GOLDEN / "inputs" / f"{name}_state.json")
+        for name in COLD
+    },
 }
 
 
@@ -205,6 +231,7 @@ def prepare(workdir: Path) -> None:
 
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+NEGATIVE_ZERO = re.compile(r"(?<![\d.eE])-0(?![\d.])")
 
 
 def assert_same_up_to_rounding(got: str, want: str) -> None:
@@ -240,6 +267,7 @@ def test_golden(name, workdir):
         path, golden = WRITTEN[name]
         outputs.append((read_bytes(golden), read_bytes(workdir / path)))
     for want_text, got_text in outputs:
+        assert not NEGATIVE_ZERO.search(got_text)
         if exact:
             assert got_text == want_text
         else:
@@ -289,6 +317,7 @@ def write_missing_golden() -> None:
     import numpy as np
 
     from thermofield import models, serialize, thermal
+    from thermofield.bipartite import BipartitePureState
 
     inputs = GOLDEN / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
@@ -308,13 +337,17 @@ def write_missing_golden() -> None:
     oscillator = models.build_oscillator(0.75, 6)
     gibbs = thermal.gibbs_density(oscillator, 0.8).matrix
     files[inputs / "gibbs.json"] = serialize.dump_matrix(gibbs)
+    off_norm = np.diag([math.sqrt(0.7 + 5e-10), math.sqrt(0.3)])
+    files[inputs / "state_off_norm.json"] = serialize.dump_state(BipartitePureState(off_norm))
     for path, text in files.items():
         path.parent.mkdir(exist_ok=True)
         if not path.exists():
             path.write_text(text + "\n", encoding="utf-8")
 
     expected = json.loads(EXPECTED.read_text(encoding="utf-8")) if EXPECTED.exists() else {}
-    order = ["tfd_emit_state.json"] + [n for n in CASES if n != "tfd_emit_state.json"]
+    # cases that write an input of later cases run first
+    emitters = [n for n, (_, golden) in WRITTEN.items() if golden.parent.name == "inputs"]
+    order = emitters + [n for n in CASES if n not in emitters]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)

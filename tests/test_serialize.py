@@ -27,6 +27,7 @@ class TestRenderNumber:
 
     def test_compact_integers(self):
         assert render_number(0.0) == "0"
+        assert render_number(-0.0) == "0"
         assert render_number(1.0) == "1"
         assert render_number(-3.0) == "-3"
 

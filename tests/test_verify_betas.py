@@ -1,11 +1,11 @@
-"""The batched equivalence check and its O(d^2) Schmidt construction check.
+"""The batched equivalence check and the Schmidt spectrum it reads off.
 
 ``verify_betas`` does the beta-independent work once (validation, one
 diagonalization, one ``F @ V``) and must give, field for field and bit for
-bit, what one ``verify_equivalence`` call per beta gives.  The thermal
-double's surroundings basis is passed to ``schmidt_from_factors`` as
-coordinate indices; the dense permuted-identity check it replaces is
-kept here as the reference.
+bit, what one ``verify_equivalence`` call per beta gives.  Its Schmidt
+coefficients are read from the thermal double's construction (the
+square-root Boltzmann weights, sorted descending); ``TestBothSchmidtRoutes``
+checks them against the spectrum ``schmidt_decompose`` measures by SVD.
 """
 
 import json
@@ -20,14 +20,8 @@ import oracles
 from test_cli import count_calls
 
 from thermofield import bipartite, cli, thermal
-from thermofield.bipartite import (
-    RANK_CUTOFF,
-    BipartitePureState,
-    SchmidtResult,
-    schmidt_from_factors,
-)
+from thermofield.bipartite import BipartitePureState
 from thermofield.errors import CapacityError, ValidationError
-from thermofield.linalg import hermitian_eig
 from thermofield.models import (
     build_ising,
     build_observable,
@@ -77,35 +71,6 @@ def named_cases():
         (ising, "energy"),
         (ising, "identity"),
     ]
-
-
-def construction_factors(h, beta):
-    """State, coefficients, system basis and coordinate order as verify builds them."""
-    eig = hermitian_eig(h)
-    state = thermofield_double(h, beta)
-    weights = np.sqrt(thermal.thermal_spectrum(h, beta).probabilities)
-    order = np.argsort(-weights, kind="stable")
-    return state, weights[order], eig.eigenvectors[:, order], order
-
-
-def dense_reference(state, coefficients, basis_a, order):
-    """The check the index form replaces: a dense product with permuted identity columns."""
-    rank = int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
-    basis_b = np.eye(state.dim_b, dtype=np.complex128)[:, order]
-    basis_b[:, rank:] = 0.0
-    result = SchmidtResult(coefficients, basis_a, basis_b, rank)
-    residual = np.linalg.norm(state.amplitudes - (basis_a * coefficients) @ basis_b.T)
-    if residual > 1e-10:
-        raise ValidationError(f"Schmidt reconstruction residual {residual:.3e} exceeds 1e-10")
-    return result
-
-
-def passes(check) -> bool:
-    try:
-        check()
-    except ValidationError:
-        return False
-    return True
 
 
 class TestBatchEqualsSingleCalls:
@@ -176,6 +141,17 @@ class TestBothSchmidtRoutes:
         constructed = verify_equivalence(h, beta, f).schmidt_coefficients
         np.testing.assert_allclose(measured, constructed, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "h",
+        [build_two_level(1.0), build_oscillator(0.5, 6), build_ising(3, 1.0, 0.0)],
+        ids=["two_level", "oscillator", "ising_degenerate"],  # h = 0: degenerate levels
+    )
+    def test_fixed_models(self, h):
+        for beta in BETAS:
+            constructed = verify_equivalence(h, beta, h).schmidt_coefficients
+            measured = bipartite.schmidt_decompose(thermofield_double(h, beta)).coefficients
+            np.testing.assert_allclose(constructed, measured, rtol=0.0, atol=1e-12)
+
 
 class TestOrderOfWork:
     def test_validates_every_beta_before_diagonalizing(self, monkeypatch):
@@ -227,92 +203,3 @@ class TestOrderOfWork:
     def test_thermal_module_builds_no_identity(self):
         source = pathlib.Path(thermal.__file__).read_text(encoding="utf-8")
         assert "np.eye" not in source
-
-
-class TestIndexForm:
-    def cases(self):
-        for d in (2, 3, 8, 33):
-            yield build_random_hermitian(d, seed=40 + d)
-        yield build_two_level(1.0)
-        yield build_ising(3, 1.0, 0.0)  # degenerate levels: the stable sort matters
-        yield build_oscillator(0.5, 6)
-
-    def test_matches_dense_reference(self):
-        for h in self.cases():
-            for beta in BETAS:
-                state, c, a, order = construction_factors(h, beta)
-                index = schmidt_from_factors(state, c, a, order)
-                dense = dense_reference(state, c, a, order)
-                assert index.coefficients.tobytes() == dense.coefficients.tobytes()
-                assert index.rank == dense.rank
-                np.testing.assert_array_equal(index.basis_b, order[: index.rank])
-                # coordinate vectors carry no phase, so the system basis is not rephased
-                assert index.basis_a.tobytes() == a.tobytes()
-
-    def test_verdicts_match_dense_reference_on_wrong_factors(self):
-        h = build_random_hermitian(8, seed=12)
-        state, c, a, order = construction_factors(h, 1.0)
-        swapped = order.copy()
-        swapped[[0, 1]] = swapped[[1, 0]]
-        perturbed = a.copy()
-        perturbed[:, 0] += 1e-6
-        scaled = c.copy()
-        scaled[2] *= 1.0 + 1e-6
-        verdicts = []
-        for coeffs, basis_a, indices in (
-            (c, a, order),
-            (c, a, swapped),
-            (c, perturbed, order),
-            (scaled, a, order),
-        ):
-            index_ok = passes(lambda: schmidt_from_factors(state, coeffs, basis_a, indices))
-            assert index_ok == passes(lambda: dense_reference(state, coeffs, basis_a, indices))
-            verdicts.append(index_ok)
-        assert verdicts == [True, False, False, False]
-
-    def test_rejects_swapped_order(self):
-        state, c, a, order = construction_factors(build_random_hermitian(8, seed=13), 1.0)
-        order = order.copy()
-        order[[2, 5]] = order[[5, 2]]
-        with pytest.raises(ValidationError, match="reconstruction residual"):
-            schmidt_from_factors(state, c, a, order)
-
-    def test_rejects_perturbed_eigenvector(self):
-        state, c, a, order = construction_factors(build_random_hermitian(8, seed=14), 1.0)
-        a = a.copy()
-        a[:, 3] *= np.exp(1e-6j)  # still unit norm, one phase off
-        with pytest.raises(ValidationError, match="reconstruction residual"):
-            schmidt_from_factors(state, c, a, order)
-
-    def test_rejects_scaled_coefficient(self):
-        state, c, a, order = construction_factors(build_random_hermitian(8, seed=15), 1.0)
-        scaled = c.copy()
-        scaled[1] *= 1.0 + 1e-6
-        with pytest.raises(ValidationError):
-            schmidt_from_factors(state, scaled, a, order)
-
-    def test_rejects_moved_weight(self):
-        # squares still sum to 1 and stay descending: only the reconstruction can tell
-        state, c, a, order = construction_factors(build_random_hermitian(8, seed=16), 1.0)
-        moved = c.copy()
-        delta = 1e-7
-        moved[0] = math.sqrt(c[0] ** 2 + delta)
-        moved[-1] = math.sqrt(c[-1] ** 2 - delta)
-        with pytest.raises(ValidationError, match="reconstruction residual"):
-            schmidt_from_factors(state, moved, a, order)
-
-    @pytest.mark.parametrize(
-        "indices,message",
-        [
-            (np.array([0, 1, 2, 4]), r"lie in \[0, 4\)"),
-            (np.array([0, 1, 2, -1]), r"lie in \[0, 4\)"),
-            (np.array([0, 1, 1, 2]), "distinct"),
-            (np.array([0, 1, 2]), "must be 4 integers"),
-            (np.array([0.0, 1.0, 2.0, 3.0]), "must be 4 integers"),
-        ],
-    )
-    def test_rejects_bad_indices(self, indices, message):
-        state, c, a, _ = construction_factors(build_random_hermitian(4, seed=17), 1.0)
-        with pytest.raises(ValidationError, match=message):
-            schmidt_from_factors(state, c, a, indices)
-
