@@ -18,8 +18,10 @@ from .bipartite import (
     joint_density,
     purify,
     reduced_density,
+    schmidt_coefficients,
     schmidt_decompose,
     schmidt_entropy,
+    schmidt_rank,
 )
 from .errors import CapacityError, ValidationError
 from .linalg import (
@@ -87,8 +89,10 @@ __all__ = [
     "random_unit_vector",
     "reduced_density",
     "require_hermitian",
+    "schmidt_coefficients",
     "schmidt_decompose",
     "schmidt_entropy",
+    "schmidt_rank",
     "svd",
     "thermal_average",
     "thermal_spectrum",

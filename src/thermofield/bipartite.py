@@ -36,6 +36,8 @@ __all__ = [
     "reduced_density",
     "environment_density",
     "schmidt_decompose",
+    "schmidt_coefficients",
+    "schmidt_rank",
     "purify",
     "entanglement_entropy",
     "schmidt_entropy",
@@ -153,18 +155,23 @@ class SchmidtResult:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.float64)
-        if np.any(c < 0.0) or np.any(np.diff(c) > 0.0):
-            raise ValidationError("Schmidt coefficients must be nonnegative and descending")
-        sum_dev = abs(float(np.sum(c**2)) - 1.0)
-        if sum_dev > NORM_TOL:
-            raise ValidationError(
-                f"squared Schmidt coefficients must sum to 1, deviation {sum_dev:.3e}"
-            )
-        expected_rank = _rank(c)
+        _check_coefficients(c)
+        expected_rank = schmidt_rank(c)
         if self.rank != expected_rank:
             raise ValidationError(
                 f"rank {self.rank} does not match coefficient count {expected_rank}"
             )
+
+
+def _check_coefficients(c: np.ndarray) -> None:
+    """Reject coefficients that are not a Schmidt spectrum of an admitted state."""
+    if np.any(c < 0.0) or np.any(np.diff(c) > 0.0):
+        raise ValidationError("Schmidt coefficients must be nonnegative and descending")
+    sum_dev = abs(float(np.sum(c**2)) - 1.0)
+    if sum_dev > NORM_TOL:
+        raise ValidationError(
+            f"squared Schmidt coefficients must sum to 1, deviation {sum_dev:.3e}"
+        )
 
 
 def expectation(state: BipartitePureState, observable: Operator) -> float:
@@ -216,7 +223,7 @@ def schmidt_decompose(state: BipartitePureState) -> SchmidtResult:
     within 1e-10 Frobenius.
     """
     u, s, vh = svd(state.amplitudes)
-    rank = _rank(s)
+    rank = schmidt_rank(s)
     lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]  # first entry of largest modulus
     # hypot is the scalar abs(); np.abs on arrays can differ in the last bit
     phases = lead / np.hypot(lead.real, lead.imag)
@@ -230,7 +237,20 @@ def schmidt_decompose(state: BipartitePureState) -> SchmidtResult:
     return result
 
 
-def _rank(coefficients: np.ndarray) -> int:
+def schmidt_coefficients(state: BipartitePureState) -> np.ndarray:
+    """The Schmidt coefficients of a state, descending, without the bases.
+
+    The singular values of the amplitudes, measured without vectors, and
+    held to the coefficient checks of :class:`SchmidtResult`.  They agree
+    with ``schmidt_decompose(state).coefficients`` at rounding level.  No
+    reconstruction is made: that check lives in :func:`schmidt_decompose`.
+    """
+    c = singular_values(state.amplitudes)
+    _check_coefficients(c)
+    return c
+
+
+def schmidt_rank(coefficients: np.ndarray) -> int:
     """The count of Schmidt coefficients above ``RANK_CUTOFF`` times the largest."""
     return int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
 
@@ -253,11 +273,10 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
 def entanglement_entropy(state: BipartitePureState) -> float:
     """Entropy of entanglement in nats.
 
-    Computes the singular values of the amplitudes and passes them to
-    :func:`schmidt_entropy`.  Ranges from 0 (product state) to
-    ``ln min(dim_a, dim_b)`` (maximally entangled).
+    :func:`schmidt_entropy` of :func:`schmidt_coefficients`.  Ranges from 0
+    (product state) to ``ln min(dim_a, dim_b)`` (maximally entangled).
     """
-    return schmidt_entropy(singular_values(state.amplitudes))
+    return schmidt_entropy(schmidt_coefficients(state))
 
 
 def schmidt_entropy(coefficients: np.ndarray) -> float:

@@ -85,10 +85,18 @@ def _check_nonnegative(what: str, value: float) -> None:
         raise ValidationError(f"{what} must be finite and nonnegative, got {value}")
 
 
-def _over_tolerance(what: str, residual: float, tolerance: float) -> str | None:
-    """The stderr line for a residual above ``--tol``, else None."""
-    if residual > tolerance:
-        return f"{what} residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
+def _over_tolerance(
+    what: str, residual: float, tolerance: float, norm: float = 0.0, scale: float = 1.0
+) -> str | None:
+    """The stderr line for a residual above ``tolerance * max(1, norm * scale)``, else None.
+
+    Both sides are compared divided by ``scale``, as ``require_hermitian``
+    compares them, so the bound cannot overflow; the message prints the
+    bound applied.  The defaults give the absolute bound ``tolerance``.
+    """
+    bound = tolerance * max(1.0 / scale, norm)
+    if residual / scale > bound:
+        return f"{what} residual {residual:.3e} exceeds tolerance {bound * scale:.3e}"
     return None
 
 
@@ -142,7 +150,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list, str | None]:
     observable = _resolve_observable(args.observable, hamiltonian)
     reports = thermal.verify_betas(hamiltonian, args.beta, observable, args.observable)
     worst = max(r.residual for r in reports)
-    return reports, _over_tolerance("equivalence", worst, args.tolerance)
+    _, norm, scale = observable._hermiticity  # ||F||_F = norm * scale, kept by the check
+    return reports, _over_tolerance("equivalence", worst, args.tolerance, norm, scale)
 
 
 def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:
@@ -153,7 +162,7 @@ def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:
     records = []
     for beta in args.beta:
         state = thermal.thermofield_double(hamiltonian, beta)
-        coefficients = bipartite.schmidt_decompose(state).coefficients
+        coefficients = bipartite.schmidt_coefficients(state)
         records.append(
             [
                 ("beta", None, beta),
@@ -181,11 +190,11 @@ def cmd_purify(args: argparse.Namespace) -> tuple[list, str | None]:
 
 def cmd_schmidt(args: argparse.Namespace) -> tuple[list, str | None]:
     """Schmidt spectrum, rank, and entropy of a state file."""
-    schmidt = bipartite.schmidt_decompose(serialize.load_state(_read_file(args.state)))
+    coefficients = bipartite.schmidt_coefficients(serialize.load_state(_read_file(args.state)))
     record = [
-        ("coefficients", "schmidt_coefficient", schmidt.coefficients),
-        ("rank", "rank", schmidt.rank),
-        ("entropy", "entropy", bipartite.schmidt_entropy(schmidt.coefficients)),
+        ("coefficients", "schmidt_coefficient", coefficients),
+        ("rank", "rank", bipartite.schmidt_rank(coefficients)),
+        ("entropy", "entropy", bipartite.schmidt_entropy(coefficients)),
     ]
     return [record], None
 
@@ -215,7 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta", required=True, help="comma-separated inverse temperatures")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         p.add_argument("--out", default=None, dest="output_path", help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-10, dest="tolerance", help="residual tolerance")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=1e-10,
+            dest="tolerance",
+            help="residual tolerance; verify's is relative to max(1, ||F||_F) of the observable",
+        )
 
     p = sub.add_parser("spectrum", help="eigenvalues of a model Hamiltonian")
     add_common(p, model=True, betas=False)

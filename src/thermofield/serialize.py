@@ -45,9 +45,13 @@ def render_number_array(values) -> str:
     """JSON array of numbers, each rendered as by :func:`render_number`.
 
     One ``%`` format call over the whole list; ``"%.17g" % x`` and
-    ``f"{x:.17g}"`` give the same bytes for every float.
+    ``f"{x:.17g}"`` give the same bytes for every float.  An array of zeros
+    (the imaginary half of a real state) is written without formatting.
     """
-    numbers = (np.asarray(values, dtype=np.float64) + 0.0).tolist()
+    numbers = np.asarray(values, dtype=np.float64)
+    if not numbers.any():  # -0.0 counts as zero and is written 0 all the same
+        return "[" + ", ".join(["0"] * numbers.size) + "]"
+    numbers = (numbers + 0.0).tolist()
     return "[" + ", ".join(["%.17g"] * len(numbers)) % tuple(numbers) + "]"
 
 

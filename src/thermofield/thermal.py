@@ -227,14 +227,16 @@ def verify_betas(
     Hamiltonian, which is cached on it.  They agree within
     ``1e-10 * max(1, ||F||_2)``, the bound the tests hold them to; a larger
     residual is a defect, so the report carries it rather than raising.
-    The bound scales with ``F``, while CLI ``--tol`` is absolute.
+    CLI ``verify`` holds the worst residual to ``--tol * max(1, ||F||_F)``:
+    the Frobenius norm is at least the spectral one, and the Hermiticity
+    check has already computed it.
 
     The Schmidt spectrum is read from the construction, not measured: in
     the energy eigenbasis the thermal double already is the biorthogonal
     expansion ``sum_n sqrt(p_n) |n> (x) |e_n>``, with the coordinate (tilde)
     basis as the surroundings basis, so the coefficients are the
     square-root probabilities sorted descending.  CLI ``tfd`` and
-    ``schmidt`` measure the spectrum by SVD instead.
+    ``schmidt`` measure the spectrum as singular values instead.
     """
     _check_dims(hamiltonian, observable)
     betas = [_check_beta(beta) for beta in betas]

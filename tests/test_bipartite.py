@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +19,18 @@ from thermofield.bipartite import (
     joint_density,
     purify,
     reduced_density,
+    schmidt_coefficients,
     schmidt_decompose,
     schmidt_entropy,
+    schmidt_rank,
 )
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import Operator, dagger
 from thermofield.models import (
+    build_ising,
+    build_model,
     build_random_hermitian,
+    parse_model_spec,
     random_bipartite_state,
     random_complex_matrix,
     random_unit_vector,
@@ -32,8 +39,20 @@ from thermofield.serialize import dump_state, load_state
 from thermofield.thermal import thermofield_double
 
 
+GOLDEN_MODELS = Path(__file__).parent / "golden" / "models"
+
+
 def bell_state() -> BipartitePureState:
     return BipartitePureState(np.eye(2) / np.sqrt(2.0))
+
+
+def assert_same_spectrum(coefficients: np.ndarray, result) -> None:
+    """Values-only coefficients match a full decomposition's: 1e-12 of c_0, same rank."""
+    assert coefficients.shape == result.coefficients.shape
+    np.testing.assert_allclose(
+        coefficients, result.coefficients, rtol=0.0, atol=1e-12 * result.coefficients[0]
+    )
+    assert schmidt_rank(coefficients) == result.rank
 
 
 class TestBipartitePureState:
@@ -241,6 +260,43 @@ class TestSchmidt:
         assert abs(diagonal - expectation(state, f)) <= 1e-10
 
 
+class TestSchmidtCoefficients:
+    """The values-only route agrees with :func:`schmidt_decompose`."""
+
+    @pytest.mark.parametrize("kind", ["two_level", "oscillator", "ising", "random_hermitian"])
+    def test_golden_models(self, kind):
+        spec = parse_model_spec(json.loads((GOLDEN_MODELS / f"{kind}.json").read_text()))
+        hamiltonian = build_model(spec)
+        for beta in (0.0, 1.0, 10.0, 1e4):
+            state = thermofield_double(hamiltonian, beta)
+            assert_same_spectrum(schmidt_coefficients(state), schmidt_decompose(state))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_ising_chains(self, n):
+        for h_field in (0.0, 1.1):  # h = 0 has degenerate levels
+            hamiltonian = build_ising(n, 0.9, h_field)
+            for beta in (0.0, 0.7, 5.0):
+                state = thermofield_double(hamiltonian, beta)
+                assert_same_spectrum(schmidt_coefficients(state), schmidt_decompose(state))
+
+    @pytest.mark.parametrize(
+        "dim_a, dim_b, rank",
+        [(1, 1, 1), (1, 7, 1), (7, 1, 1), (5, 9, 2), (9, 5, 3), (16, 16, 4), (16, 16, 16),
+         (40, 24, 24), (24, 40, 1)],
+    )
+    def test_random_states(self, dim_a, dim_b, rank):
+        seed = 100 * dim_a + dim_b
+        g = random_complex_matrix(dim_a, rank, seed) @ random_complex_matrix(rank, dim_b, seed + 1)
+        state = BipartitePureState(g / np.linalg.norm(g))
+        assert_same_spectrum(schmidt_coefficients(state), schmidt_decompose(state))
+
+    def test_rejects_sum_off_one(self, monkeypatch):
+        # an admitted state's squares sum to 1 within NORM_TOL; the check is shared
+        monkeypatch.setattr(bipartite, "singular_values", lambda a: np.array([1.0, 0.1]))
+        with pytest.raises(ValidationError, match="must sum to 1"):
+            schmidt_coefficients(bell_state())
+
+
 class TestPurify:
     def test_pure_projector(self):
         state = purify(DensityMatrix(Operator(np.diag([1.0, 0.0]))))
@@ -303,8 +359,9 @@ class TestEntropy:
 class TestAdmittedIsAccepted:
     """A state that ``BipartitePureState`` admits, every later step accepts.
 
-    The chain is admission, ``schmidt_decompose``, then ``dump_state`` and
-    ``load_state``; the norm may be off by up to 0.99 ``NORM_TOL``.
+    The chain is admission, ``schmidt_decompose`` and
+    ``schmidt_coefficients``, then ``dump_state`` and ``load_state``; the
+    norm may be off by up to 0.99 ``NORM_TOL``.
     """
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -323,6 +380,9 @@ class TestAdmittedIsAccepted:
         again = load_state(dump_state(state))
         assert again.amplitudes.tobytes() == state.amplitudes.tobytes()
         assert schmidt_decompose(again).coefficients.tobytes() == result.coefficients.tobytes()
+        coefficients = schmidt_coefficients(state)
+        assert_same_spectrum(coefficients, result)
+        assert schmidt_coefficients(again).tobytes() == coefficients.tobytes()
 
 
 class TestJointDensity:

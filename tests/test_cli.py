@@ -28,12 +28,12 @@ def run_cli(*args, **kwargs):
 
 
 def count_calls(monkeypatch, owner, name) -> list:
-    """Replace ``owner.name`` by a wrapper that logs one entry per call."""
+    """Replace ``owner.name`` by a wrapper that logs each call's keyword arguments."""
     calls = []
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        calls.append(kwargs)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -130,6 +130,20 @@ class TestVerify:
         # the report itself is still emitted
         (report,) = json.loads(proc.stdout)
         assert report["residual"] > 1e-30
+
+    def test_tolerance_scales_with_observable_norm(self, tmp_path):
+        # ||F||_F = 2e308 overflows; the bound is compared divided by the entry scale
+        path = tmp_path / "f.json"
+        path.write_text(dump_matrix(np.array([[1e308, 1e308], [1e308, -1e308]])))
+        args = ["verify", "--model", TWO_LEVEL, "--observable", str(path), "--beta", "1"]
+        proc = run_cli(*args)
+        (report,) = json.loads(proc.stdout)
+        assert report["residual"] > 1e-10
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for tol, bound in (("1e-30", "2.000e+278"), ("0", "0.000e+00")):
+            proc = run_cli(*args, "--tol", tol)
+            assert proc.returncode == 1
+            assert proc.stderr.endswith(f"exceeds tolerance {bound}\n")
 
     def test_one_eigh_and_no_svd_per_command(self, monkeypatch, capsys):
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
@@ -242,6 +256,30 @@ class TestTfd:
         assert len(svd) == 1
         assert cli.main(["schmidt", str(state_path)]) == 0
         assert len(svd) == 2
+
+    def test_singular_values_without_vectors(self, monkeypatch, capsys, tmp_path):
+        state_path = tmp_path / "state.json"
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        assert cli.main(["tfd", "--model", RANDOM_5, "--beta", "0,1.25", "--format", "csv"]) == 0
+        args = ["tfd", "--model", RANDOM_5, "--beta", "1.25", "--emit-state", str(state_path)]
+        assert cli.main(args) == 0
+        assert cli.main(["schmidt", str(state_path)]) == 0
+        assert [call.get("compute_uv") for call in svd] == [False] * 4
+
+    @pytest.mark.parametrize("beta", ["0", "1", "1e4"])
+    def test_schmidt_repeats_tfd_bytes(self, beta, capsys, tmp_path):
+        model = '{"kind": "random_hermitian", "params": {"dim": 64, "seed": 5}}'
+        state_path = str(tmp_path / "state.json")
+        emit = ["--emit-state", state_path, "--format", "csv"]
+        assert cli.main(["tfd", "--model", model, "--beta", beta, *emit]) == 0
+        tfd = capsys.readouterr().out.splitlines()[1:]
+        assert cli.main(["schmidt", state_path, "--format", "csv"]) == 0
+        schmidt = capsys.readouterr().out.splitlines()[1:]
+        # the rows without their beta column; schmidt adds the rank
+        assert len(tfd) == 65
+        assert [row.split(",", 1)[1] for row in tfd] == [
+            row.split(",", 1)[1] for row in schmidt if not row.startswith(",rank,")
+        ]
 
     def test_no_negative_zero_entropy(self):
         model = '{"kind": "two_level", "params": {"gap": 1e308}}'

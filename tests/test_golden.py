@@ -142,6 +142,10 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
             ),
         }
     )
+    huge = ["verify", "--model", model_json("oscillator", omega=1e300, cutoff=3),
+            "--observable", "energy", "--beta", "0"]
+    cases["verify_huge_observable.json"] = (huge, True)  # --tol scales with ||F||_F
+    cases["verify_huge_observable_tight_tol.json"] = ([*huge, "--tol", "1e-30"], True)
     potts = model_json("potts")
     errors = {
         "unknown_kind": ["spectrum", "--model", potts],
@@ -235,13 +239,34 @@ NEGATIVE_ZERO = re.compile(r"(?<![\d.eE])-0(?![\d.])")
 
 
 def assert_same_up_to_rounding(got: str, want: str) -> None:
-    """Equal outside the numbers; each number within 1e-12 relative."""
+    """Equal outside the numbers; each number within 1e-12 relative, sign kept.
+
+    A golden 0 must not come back negative, and a nonzero golden number must
+    keep its sign unless it is at most 1e-14 times the largest magnitude:
+    below that a sign is rounding noise (the magnetization averages of the
+    Ising verify cases cancel to about 1e-16, either sign).
+    """
     assert NUMBER.split(got) == NUMBER.split(want)
     got_numbers = [float(x) for x in NUMBER.findall(got)]
     want_numbers = [float(x) for x in NUMBER.findall(want)]
     scale = max(map(abs, want_numbers), default=1.0)
     for position, (g, w) in enumerate(zip(got_numbers, want_numbers)):
         assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12 * scale), (position, g, w)
+        if w == 0.0:
+            assert g >= 0.0, (position, g, w)
+        elif abs(w) > 1e-14 * scale:
+            assert (g > 0.0) == (w > 0.0), (position, g, w)
+
+
+def test_comparator_keeps_signs():
+    """A sign error near zero fails; a sign below 1e-14 of the largest number is noise."""
+    assert_same_up_to_rounding('{"a": 3e-17, "b": 1}', '{"a": -5e-17, "b": 1}')
+    for got, want in (
+        ('{"entropy": -4.4e-16, "b": 1}', '{"entropy": 0, "b": 1}'),
+        ('{"c": -1e-13, "b": 1}', '{"c": 1e-13, "b": 1}'),
+    ):
+        with pytest.raises(AssertionError):
+            assert_same_up_to_rounding(got, want)
 
 
 def read_bytes(path: Path) -> str:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofield.errors import ValidationError
 from thermofield.models import random_bipartite_state, random_complex_matrix, standard_normals
@@ -44,6 +46,22 @@ class TestRenderNumber:
         assert render_number_array(np.array(values)) == want
         assert render_number_array(values) == want
         assert render_number_array(np.array([])) == "[]"
+
+    ZEROS = st.sampled_from([0.0, -0.0])
+    EDGES = st.sampled_from([5e-324, -5e-324, 1e-310, -2.2250738585072009e-308, 1e308, -1e308])
+    ENTRIES = st.one_of(ZEROS, EDGES, st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.one_of(
+            *(st.lists(entries, max_size=40) for entries in (st.just(0.0), st.just(-0.0), ZEROS)),
+            st.lists(ENTRIES, max_size=40),
+        )
+    )
+    def test_property_array_matches_per_entry_format(self, values):
+        # all 0.0, all -0.0 and mixed zeros take the unformatted path, the rest the % path
+        want = "[" + ", ".join("%.17g" % (x + 0.0) for x in values) + "]"
+        assert render_number_array(np.array(values, dtype=np.float64)) == want
 
 
 class TestMatrixFormat:
