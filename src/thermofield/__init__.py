@@ -42,14 +42,12 @@ from .models import (
     build_observable,
     parse_model_spec,
     random_bipartite_state,
-    random_unit_vector,
 )
 from .thermal import (
     ThermalReport,
     ThermalSpectrum,
     decohere_tfd,
     gibbs_density,
-    thermal_average,
     thermal_spectrum,
     thermofield_double,
     verify_betas,
@@ -86,7 +84,6 @@ __all__ = [
     "parse_model_spec",
     "purify",
     "random_bipartite_state",
-    "random_unit_vector",
     "reduced_density",
     "require_hermitian",
     "schmidt_coefficients",
@@ -94,7 +91,6 @@ __all__ = [
     "schmidt_entropy",
     "schmidt_rank",
     "svd",
-    "thermal_average",
     "thermal_spectrum",
     "thermofield_double",
     "verify_betas",

@@ -20,7 +20,7 @@ import numpy as np
 from . import bipartite, models, serialize, thermal
 from .bipartite import DensityMatrix
 from .errors import ValidationError
-from .linalg import Operator, dagger, hermitian_eig
+from .linalg import Operator, bound_exceeded, dagger, hermitian_eig
 from .thermal import ThermalReport
 
 __all__ = ["main"]
@@ -86,18 +86,11 @@ def _check_nonnegative(what: str, value: float) -> None:
 
 
 def _over_tolerance(
-    what: str, residual: float, tolerance: float, norm: float = 0.0, scale: float = 1.0
+    what: str, residual: float, tolerance: float, op: Operator | None = None
 ) -> str | None:
-    """The stderr line for a residual above ``tolerance * max(1, norm * scale)``, else None.
-
-    Both sides are compared divided by ``scale``, as ``require_hermitian``
-    compares them, so the bound cannot overflow; the message prints the
-    bound applied.  The defaults give the absolute bound ``tolerance``.
-    """
-    bound = tolerance * max(1.0 / scale, norm)
-    if residual / scale > bound:
-        return f"{what} residual {residual:.3e} exceeds tolerance {bound * scale:.3e}"
-    return None
+    """The stderr line for a residual over ``bound_exceeded``'s bound, else None."""
+    bound = bound_exceeded(residual, tolerance, op)
+    return None if bound is None else f"{what} residual {residual:.3e} exceeds tolerance {bound:.3e}"
 
 
 def _render(records: list, output_format: str, array: bool) -> str:
@@ -150,8 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list, str | None]:
     observable = _resolve_observable(args.observable, hamiltonian)
     reports = thermal.verify_betas(hamiltonian, args.beta, observable, args.observable)
     worst = max(r.residual for r in reports)
-    _, norm, scale = observable._hermiticity  # ||F||_F = norm * scale, kept by the check
-    return reports, _over_tolerance("equivalence", worst, args.tolerance, norm, scale)
+    return reports, _over_tolerance("equivalence", worst, args.tolerance, observable)
 
 
 def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:

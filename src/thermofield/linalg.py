@@ -16,6 +16,7 @@ level.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,21 +166,49 @@ def describe_residual(residual: float, scale: float, bound: float | None = None)
     return text if bound is None else f"{text} exceeds {bound:.3e}"
 
 
+def bound_exceeded(x: float, tol: float, op: Operator | None = None) -> float | None:
+    """The bound ``tol * max(1, ||M||_F)`` of ``M = op.matrix`` if ``|x|`` exceeds it, else None.
+
+    The one bound rule of the package.  Both sides are compared divided by
+    M's largest entry modulus, kept on ``op`` by :func:`require_hermitian`,
+    so neither overflows; the bound returned is in the units of ``x``.
+    Without ``op`` the bound is the absolute ``tol``.
+    """
+    _, norm, scale = op._hermiticity if op is not None else (0.0, 0.0, 1.0)
+    bound = tol * max(1.0 / scale, norm)
+    return bound * scale if abs(x) / scale > bound else None
+
+
 def require_hermitian(op: Operator, what: str = "operator") -> None:
     """Reject an operator whose Hermiticity residual exceeds the tolerance.
 
     The bound is relative: ``||M - M^dagger||_F <= 1e-9 * max(1, ||M||_F)``,
-    with both norms taken by :func:`scaled_hermiticity`, so neither
-    overflows for entries near the float limit.  The norms are computed on
-    the first call and kept on the instance; every call still raises with
-    its own ``what``.
+    with both norms taken by :func:`scaled_hermiticity` and compared by
+    :func:`bound_exceeded`, so neither overflows for entries near the float
+    limit.  The norms are computed on the first call and kept on the
+    instance; every call still raises with its own ``what``.
     """
-    residual, norm, scale = op._hermiticity
-    bound = HERMITICITY_TOL * max(1.0 / scale, norm)
-    if residual > bound:
+    residual, _, scale = op._hermiticity
+    bound = bound_exceeded(residual * scale, HERMITICITY_TOL, op)
+    if bound is not None:
         raise ValidationError(
-            f"{what} is not Hermitian: {describe_residual(residual, scale, bound * scale)}"
+            f"{what} is not Hermitian: {describe_residual(residual, scale, bound)}"
         )
+
+
+def real_value(value: complex, op: Operator, what: str) -> float:
+    """The real part of ``value``, a quadratic form ``<x|F|x>`` of ``F = op.matrix``.
+
+    For unit ``x`` the imaginary part is at most ``||F - F^dagger||_2 / 2``,
+    half what :func:`require_hermitian` admits, so it is held to that same
+    bound: a larger residue is a defect.  A value past the float range
+    raises as well.
+    """
+    if not cmath.isfinite(value):
+        raise ValidationError(f"{what} exceeds the float range")
+    if bound_exceeded(value.imag, HERMITICITY_TOL, op) is not None:
+        raise ValidationError(f"{what} has imaginary residue {value.imag:.3e}")
+    return value.real
 
 
 def hermitian_eig(h: Operator) -> EigResult:

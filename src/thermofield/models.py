@@ -44,7 +44,6 @@ __all__ = [
     "build_random_hermitian",
     "build_observable",
     "random_complex_matrix",
-    "random_unit_vector",
     "random_bipartite_state",
 ]
 
@@ -232,15 +231,6 @@ def build_random_hermitian(dim: int, seed: int) -> Operator:
     dim, seed = _checked("random_hermitian", dim, seed)
     g = random_complex_matrix(dim, dim, seed)
     return Operator((g + dagger(g)) / 2.0)
-
-
-def random_unit_vector(dim: int, seed: int) -> np.ndarray:
-    """Seeded complex Gaussian vector scaled to unit norm."""
-    if dim < 1:
-        raise ValidationError(f"dim must be positive, got {dim}")
-    z = standard_normals(seed, 2 * dim)
-    v = z[0::2] + 1j * z[1::2]
-    return v / np.linalg.norm(v)
 
 
 def random_bipartite_state(dim_a: int, dim_b: int, seed: int) -> BipartitePureState:

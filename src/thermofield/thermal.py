@@ -4,7 +4,9 @@ Inverse temperature ``beta`` is taken directly (Boltzmann constant folded
 in, so ``beta`` carries inverse energy units).  All Boltzmann weights are
 computed relative to the ground energy and the partition function is
 only ever exposed through its logarithm, which keeps every quantity finite
-for arbitrarily large ``beta`` or energy spans.
+for arbitrarily large ``beta`` or energy spans; a log partition sum past the
+float range raises.  An observable that ``require_hermitian`` admits is
+accepted by every expectation value (see :func:`linalg.real_value`).
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import numpy as np
 from . import bipartite
 from .bipartite import BipartitePureState, DensityMatrix
 from .errors import CapacityError, ValidationError
-from .linalg import EigResult, Operator, dagger, hermitian_eig, require_hermitian
+from .linalg import EigResult, Operator, dagger, hermitian_eig, real_value, require_hermitian
 
 __all__ = [
     "ThermalSpectrum",
     "ThermalReport",
     "thermal_spectrum",
     "gibbs_density",
-    "thermal_average",
     "thermofield_double",
     "verify_betas",
     "verify_equivalence",
@@ -40,6 +41,7 @@ class ThermalSpectrum:
     ``energies`` ascend; ``probabilities[n]`` is the Boltzmann weight of
     the n-th eigenstate (degenerate levels contribute one entry per
     eigenstate).  ``log_partition`` is the log of the full partition sum.
+    Every value must be finite.
     """
 
     beta: float
@@ -52,6 +54,8 @@ class ThermalSpectrum:
         p = np.asarray(self.probabilities, dtype=np.float64)
         if e.shape != p.shape or e.ndim != 1:
             raise ValidationError("energies and probabilities must be matching vectors")
+        if not np.isfinite(np.concatenate([e, p, [self.log_partition]])).all():
+            raise ValidationError("energies, probabilities and log partition sum must be finite")
         if np.any(np.diff(e) < 0.0):
             raise ValidationError("energies must be ascending")
         if np.any(p < 0.0):
@@ -69,13 +73,17 @@ class ThermalReport:
     observable_name: str
     trace_average: float
     doubled_expectation: float
-    entropy: float
     schmidt_coefficients: np.ndarray
 
     @property
     def residual(self) -> float:
         """``|trace_average - doubled_expectation|``."""
         return abs(self.trace_average - self.doubled_expectation)
+
+    @property
+    def entropy(self) -> float:
+        """Entropy of entanglement of the thermal double, in nats."""
+        return bipartite.schmidt_entropy(self.schmidt_coefficients)
 
 
 def _check_beta(beta: float) -> float:
@@ -162,29 +170,8 @@ def _check_capacity(dim: int) -> None:
 def _ensemble_diagonal(eig: EigResult, observable: Operator) -> np.ndarray:
     """Matrix elements ``<n|F|n>`` in the energy eigenbasis; beta does not enter."""
     v = eig.eigenvectors
-    return np.sum(v.conj() * (observable.matrix @ v), axis=0)
-
-
-def _ensemble_value(probabilities: np.ndarray, diagonal: np.ndarray) -> float:
-    value = complex(np.dot(probabilities, diagonal))
-    if abs(value.imag) > 1e-10:
-        raise ValidationError(f"thermal average has imaginary residue {value.imag:.3e}")
-    return value.real
-
-
-def thermal_average(hamiltonian: Operator, beta: float, observable: Operator) -> float:
-    """Ensemble average of an observable: probability-weighted eigensum.
-
-    Evaluates ``sum_n p_n <n|F|n>`` directly from the eigenvectors.  This
-    path never touches the doubled space, so it can serve as one side of
-    the equivalence check.
-    """
-    _check_dims(hamiltonian, observable)
-    beta = _check_beta(beta)
-    eig = hermitian_eig(hamiltonian)
-    require_hermitian(observable, "observable")
-    probabilities, _ = _boltzmann(eig, beta)
-    return _ensemble_value(probabilities, _ensemble_diagonal(eig, observable))
+    with np.errstate(over="ignore", invalid="ignore"):  # real_value rejects what overflows
+        return np.sum(v.conj() * (observable.matrix @ v), axis=0)
 
 
 def thermofield_double(hamiltonian: Operator, beta: float) -> BipartitePureState:
@@ -227,9 +214,12 @@ def verify_betas(
     Hamiltonian, which is cached on it.  They agree within
     ``1e-10 * max(1, ||F||_2)``, the bound the tests hold them to; a larger
     residual is a defect, so the report carries it rather than raising.
-    CLI ``verify`` holds the worst residual to ``--tol * max(1, ||F||_F)``:
-    the Frobenius norm is at least the spectral one, and the Hermiticity
-    check has already computed it.
+    CLI ``verify`` holds the worst residual to ``--tol * max(1, ||F||_F)``
+    with :func:`linalg.bound_exceeded`; the Frobenius norm is at least the
+    spectral one.  Each side is the real part of a quadratic form of ``F``,
+    whose imaginary residue :func:`linalg.real_value` holds to the bound
+    that admitted ``F``, so an admitted observable passes; a side past the
+    float range raises :class:`ValidationError`.
 
     The Schmidt spectrum is read from the construction, not measured: in
     the energy eigenbasis the thermal double already is the biorthogonal
@@ -247,20 +237,13 @@ def verify_betas(
     reports = []
     for beta in betas:
         probabilities, _ = _boltzmann(eig, beta)
-        trace_average = _ensemble_value(probabilities, diagonal)
+        with np.errstate(invalid="ignore"):
+            value = complex(np.dot(probabilities, diagonal))
+        trace_average = real_value(value, observable, "thermal average")
         state = thermofield_double(hamiltonian, beta)
         doubled = bipartite.expectation(state, observable)
         coefficients = np.sort(np.sqrt(probabilities))[::-1]
-        reports.append(
-            ThermalReport(
-                beta=beta,
-                observable_name=observable_name,
-                trace_average=trace_average,
-                doubled_expectation=doubled,
-                entropy=bipartite.schmidt_entropy(coefficients),
-                schmidt_coefficients=coefficients,
-            )
-        )
+        reports.append(ThermalReport(beta, observable_name, trace_average, doubled, coefficients))
     return reports
 
 

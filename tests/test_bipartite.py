@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from thermofield.bipartite import (
     NORM_TOL,
     BipartitePureState,
     DensityMatrix,
+    SchmidtResult,
     entanglement_entropy,
     environment_density,
     expectation,
@@ -33,10 +35,15 @@ from thermofield.models import (
     parse_model_spec,
     random_bipartite_state,
     random_complex_matrix,
-    random_unit_vector,
 )
 from thermofield.serialize import dump_state, load_state
 from thermofield.thermal import thermofield_double
+
+
+def unit_vector(dim: int, seed: int) -> np.ndarray:
+    """A seeded complex Gaussian vector scaled to unit norm."""
+    v = random_complex_matrix(dim, 1, seed)[:, 0]
+    return v / np.linalg.norm(v)
 
 
 GOLDEN_MODELS = Path(__file__).parent / "golden" / "models"
@@ -119,6 +126,18 @@ class TestExpectation:
         with pytest.raises(ValidationError):
             expectation(state, Operator(np.eye(4)))
 
+    def test_admitted_imaginary_residue_accepted(self):
+        # F - F^dagger = 6e-10 i I is within 1e-9 ||F||_F, so <F> = 1 + 3e-10 i is real enough
+        f = Operator((1.0 + 3e-10j) * np.eye(2))
+        assert expectation(bell_state(), f) == pytest.approx(1.0, abs=1e-15)
+
+    def test_value_past_float_range_rejected_without_warning(self):
+        state = BipartitePureState(np.full((2, 1), 2**-0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^expectation value exceeds the float range$"):
+                expectation(state, Operator(np.full((2, 2), 1.7e308)))
+
     def test_environment_basis_invariance(self):
         f = build_random_hermitian(3, seed=61)
         for seed in range(20):
@@ -130,8 +149,8 @@ class TestExpectation:
 
 class TestReducedDensity:
     def test_product_state(self):
-        a = random_unit_vector(3, seed=31)
-        state = BipartitePureState(np.outer(a, random_unit_vector(2, seed=32)))
+        a = unit_vector(3, seed=31)
+        state = BipartitePureState(np.outer(a, unit_vector(2, seed=32)))
         np.testing.assert_allclose(
             reduced_density(state).matrix, np.outer(a, a.conj()), atol=1e-12
         )
@@ -176,9 +195,19 @@ class TestDensityMatrix:
 
 
 class TestSchmidt:
+    def test_nan_coefficients_rejected(self):
+        eye = np.eye(2)
+        with pytest.raises(ValidationError, match="must be finite, nonnegative and descending"):
+            SchmidtResult(np.array([math.nan, math.nan]), eye, eye)
+
+    def test_rank_read_from_coefficients(self):
+        eye = np.eye(3)
+        assert SchmidtResult(np.array([1.0, 0.0, 0.0]), eye, eye).rank == 1
+        assert SchmidtResult(np.full(3, 3**-0.5), eye, eye).rank == 3
+
     def test_product_rank_one(self):
         state = BipartitePureState(
-            np.outer(random_unit_vector(2, seed=41), random_unit_vector(3, seed=42))
+            np.outer(unit_vector(2, seed=41), unit_vector(3, seed=42))
         )
         result = schmidt_decompose(state)
         assert result.rank == 1
@@ -208,7 +237,7 @@ class TestSchmidt:
 
     def test_zero_padding_beyond_rank(self):
         state = BipartitePureState(
-            np.outer(random_unit_vector(2, seed=43), random_unit_vector(4, seed=44))
+            np.outer(unit_vector(2, seed=43), unit_vector(4, seed=44))
         )
         result = schmidt_decompose(state)
         assert result.rank == 1
@@ -321,7 +350,7 @@ class TestPurify:
 class TestEntropy:
     def test_product_zero(self):
         state = BipartitePureState(
-            np.outer(random_unit_vector(4, seed=45), random_unit_vector(3, seed=46))
+            np.outer(unit_vector(4, seed=45), unit_vector(3, seed=46))
         )
         assert entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
@@ -347,7 +376,7 @@ class TestEntropy:
 
     def test_purity_criterion_both_directions(self):
         product = BipartitePureState(
-            np.outer(random_unit_vector(3, seed=47), random_unit_vector(3, seed=48))
+            np.outer(unit_vector(3, seed=47), unit_vector(3, seed=48))
         )
         assert schmidt_decompose(product).rank == 1
         assert entanglement_entropy(product) < 1e-9

@@ -173,6 +173,16 @@ class TestVerify:
             "error: observable is not Hermitian: residual exceeds the float range\n"
         )
 
+    def test_observable_past_float_range(self, tmp_path):
+        # every entry 1.7e308 is Hermitian, but its eigenbasis elements overflow
+        path = tmp_path / "f.json"
+        path.write_text(dump_matrix(np.full((2, 2), 1.7e308)))
+        model = '{"kind": "random_hermitian", "params": {"dim": 2, "seed": 3}}'
+        proc = run_cli("verify", "--model", model, "--observable", str(path), "--beta", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: thermal average exceeds the float range\n"  # no warnings
+
     def test_each_operator_checked_once(self, monkeypatch, capsys):
         from thermofield import linalg
 

@@ -4,7 +4,7 @@ Every case runs ``cli.main`` in-process on fixed inputs and compares stdout,
 stderr and the exit code with files under ``tests/golden/``:
 
 * ``models/<kind>.json``: one model file per model kind;
-* ``inputs/``: an observable file, a Gibbs density file, a non-square
+* ``inputs/``: observable files, a Gibbs density file, a non-square
   matrix, a state whose norm is off by 5e-10 (within admission) and the
   state files that ``tfd --emit-state`` writes;
 * ``stdout/<case>``: the expected stdout bytes of each case that prints;
@@ -146,6 +146,18 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
             "--observable", "energy", "--beta", "0"]
     cases["verify_huge_observable.json"] = (huge, True)  # --tol scales with ||F||_F
     cases["verify_huge_observable_tight_tol.json"] = ([*huge, "--tol", "1e-30"], True)
+    # observables that the Hermiticity check admits with an imaginary residue
+    # above 1e-10: (1 + 3e-10 i) I, and a random one scaled by 1e6
+    cases["verify_imaginary_identity.json"] = (
+        ["verify", "--model", "models/two_level.json", "--observable",
+         "inputs/imaginary_identity.json", "--beta", "0,0.5,2,40"],
+        True,
+    )
+    cases["verify_scaled_observable.json"] = (
+        ["verify", "--model", model_json("random_hermitian", dim=16, seed=3), "--observable",
+         "inputs/observable16_1e6.json", "--beta", "0,1,10"],
+        False,
+    )
     potts = model_json("potts")
     errors = {
         "unknown_kind": ["spectrum", "--model", potts],
@@ -359,6 +371,9 @@ def write_missing_golden() -> None:
     g = models.random_complex_matrix(16, 16, 77)
     files[inputs / "observable16.json"] = serialize.dump_matrix((g + g.conj().T) / 2.0)
     files[inputs / "nonsquare.json"] = serialize.dump_matrix(np.ones((2, 3)))
+    files[inputs / "imaginary_identity.json"] = serialize.dump_matrix((1 + 3e-10j) * np.eye(2))
+    scaled = 1e6 * models.build_random_hermitian(16, 4).matrix
+    files[inputs / "observable16_1e6.json"] = serialize.dump_matrix(scaled)
     oscillator = models.build_oscillator(0.75, 6)
     gibbs = thermal.gibbs_density(oscillator, 0.8).matrix
     files[inputs / "gibbs.json"] = serialize.dump_matrix(gibbs)

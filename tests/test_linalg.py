@@ -8,9 +8,11 @@ from thermofield import linalg
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import (
     Operator,
+    bound_exceeded,
     dagger,
     hermitian_eig,
     hermiticity_residual,
+    real_value,
     require_hermitian,
     svd,
 )
@@ -133,6 +135,51 @@ class TestHermiticity:
         require_hermitian(good, "observable")
         hermitian_eig(good)
         assert len(calls) == 2
+
+
+class TestBoundRule:
+    def test_absolute_without_operator(self):
+        assert bound_exceeded(2e-10, 1e-10) == 1e-10
+        assert bound_exceeded(-2e-10, 1e-10) == 1e-10
+        assert bound_exceeded(1e-10, 1e-10) is None  # at the bound is within it
+        assert bound_exceeded(1e-300, 0.0) == 0.0  # a zero bound is still a bound
+
+    def test_relative_to_frobenius_norm(self):
+        op = Operator(1e6 * np.eye(4))  # ||M||_F = 2e6
+        assert bound_exceeded(3e-4, 1e-10, op) == pytest.approx(2e-4, rel=1e-15)
+        assert bound_exceeded(1e-4, 1e-10, op) is None
+        small = Operator(1e-3 * np.eye(4))  # ||M||_F < 1: the bound is tol itself
+        assert bound_exceeded(2e-10, 1e-10, small) == pytest.approx(1e-10, rel=1e-15)
+
+    def test_norm_past_float_range(self):
+        op = Operator(np.full((4, 4), 1e308))  # ||M||_F = 4e308 is not a float
+        assert bound_exceeded(1e299, 1e-9, op) is None
+        assert bound_exceeded(1e300, 1e-9, op) == pytest.approx(4e299, rel=1e-15)
+        assert bound_exceeded(np.inf, 1e-9, op) == pytest.approx(4e299, rel=1e-15)
+
+    def test_real_value_within_admission_bound(self):
+        op = Operator((1.0 + 3e-10j) * np.eye(2))
+        require_hermitian(op)
+        assert real_value(1.0 + 3e-10j, op, "value") == 1.0
+        with pytest.raises(ValidationError, match="^value has imaginary residue 2.000e-09$"):
+            real_value(1.0 + 2e-9j, op, "value")
+
+    @pytest.mark.parametrize("value", [complex(np.inf, 0.0), complex(0.0, np.nan)])
+    def test_real_value_past_float_range(self, value):
+        with pytest.raises(ValidationError, match="^value exceeds the float range$"):
+            real_value(value, Operator(np.eye(2)), "value")
+
+
+def test_bound_rule_only_in_linalg():
+    # tol * max(1, ||M||_F) in scaled form is written once, the CLI reads
+    # no cached norms, and no imaginary part is held to a literal of its own
+    src = pathlib.Path(linalg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name != "linalg.py":
+            assert "1.0 / scale" not in text, path.name
+        assert not re.search(r"\.imag\)? > \d", text), path.name
+    assert "_hermiticity" not in (src / "cli.py").read_text()
 
 
 def test_factorizations_only_in_linalg():

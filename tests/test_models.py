@@ -17,7 +17,6 @@ from thermofield.models import (
     build_two_level,
     parse_model_spec,
     random_bipartite_state,
-    random_unit_vector,
     standard_normals,
 )
 from thermofield.thermal import thermal_spectrum
@@ -236,11 +235,6 @@ class TestGeneratorVectors:
 
 
 class TestRandomStates:
-    def test_unit_vector(self):
-        v = random_unit_vector(5, seed=9)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_array_equal(v, random_unit_vector(5, seed=9))
-
     def test_bipartite_state(self):
         state = random_bipartite_state(3, 4, seed=9)
         assert (state.dim_a, state.dim_b) == (3, 4)

@@ -126,7 +126,6 @@ class TestReportFormat:
             observable_name="energy",
             trace_average=1.5,
             doubled_expectation=1.5 + 1e-13,
-            entropy=0.7,
             schmidt_coefficients=np.array([0.9, math.sqrt(1.0 - 0.81)]),
         )
 

@@ -20,7 +20,6 @@ from thermofield.thermal import (
     ThermalSpectrum,
     decohere_tfd,
     gibbs_density,
-    thermal_average,
     thermal_spectrum,
     thermofield_double,
     verify_equivalence,
@@ -93,6 +92,15 @@ class TestThermalSpectrum:
                 log_partition=0.0,
             )
 
+    def test_non_finite_probabilities_rejected(self):
+        with pytest.raises(ValidationError, match="^energies, probabilities and log partition"):
+            ThermalSpectrum(0.0, np.array([0.0, 1.0]), np.array([math.nan, math.nan]), 0.0)
+
+    def test_log_partition_past_float_range_rejected(self):
+        # log Z = -beta * E_0 = 1e309 is not a float
+        with pytest.raises(ValidationError, match="log partition sum must be finite"):
+            thermal_spectrum(Operator(np.diag([-1e308, 0.0])), 10.0)
+
 
 class TestGibbsDensity:
     def test_infinite_temperature_is_maximally_mixed(self):
@@ -123,24 +131,27 @@ class TestGibbsDensity:
 
 
 class TestThermalAverage:
+    """The ensemble side of the equivalence check, ``trace_average``."""
+
     def test_identity_observable(self):
         h = build_random_hermitian(4, seed=95)
-        assert thermal_average(h, 2.2, Operator(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
+        average = verify_equivalence(h, 2.2, Operator(np.eye(4))).trace_average
+        assert average == pytest.approx(1.0, abs=1e-12)
 
     def test_infinite_temperature_mean(self):
         f = Operator(np.diag([1.0, 2.0, 6.0]))
         h = build_random_hermitian(3, seed=96)
-        assert thermal_average(h, 0.0, f) == pytest.approx(3.0, abs=1e-12)
+        assert verify_equivalence(h, 0.0, f).trace_average == pytest.approx(3.0, abs=1e-12)
 
     def test_two_level_third(self):
         h = build_two_level(1.0)
-        assert thermal_average(h, LN2, h) == pytest.approx(1 / 3, abs=1e-14)
+        assert verify_equivalence(h, LN2, h).trace_average == pytest.approx(1 / 3, abs=1e-14)
 
     def test_against_expm_oracle(self):
         h = build_random_hermitian(5, seed=97)
         f = build_random_hermitian(5, seed=98)
         want = np.trace(oracles.gibbs_expm(h.matrix, 1.4) @ f.matrix).real
-        assert thermal_average(h, 1.4, f) == pytest.approx(want, abs=1e-12)
+        assert verify_equivalence(h, 1.4, f).trace_average == pytest.approx(want, abs=1e-12)
 
     def test_against_expm_oracle_dims_2_to_64(self):
         for d in range(2, 65):
@@ -148,11 +159,11 @@ class TestThermalAverage:
             f = build_random_hermitian(d, seed=4000 + d)
             want = np.trace(oracles.gibbs_expm(h.matrix, 0.7) @ f.matrix).real
             bound = 1e-12 * max(1.0, np.linalg.norm(f.matrix))
-            assert abs(thermal_average(h, 0.7, f) - want) <= bound, d
+            assert abs(verify_equivalence(h, 0.7, f).trace_average - want) <= bound, d
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            thermal_average(build_two_level(1.0), 1.0, Operator(np.eye(3)))
+            verify_equivalence(build_two_level(1.0), 1.0, Operator(np.eye(3)))
 
 
 def test_no_einsum_in_package():

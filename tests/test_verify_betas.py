@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import oracles
 from test_cli import count_calls
@@ -22,12 +22,14 @@ from test_cli import count_calls
 from thermofield import bipartite, cli, thermal
 from thermofield.bipartite import BipartitePureState
 from thermofield.errors import CapacityError, ValidationError
+from thermofield.linalg import Operator, dagger, hermitian_eig, require_hermitian
 from thermofield.models import (
     build_ising,
     build_observable,
     build_oscillator,
     build_random_hermitian,
     build_two_level,
+    random_complex_matrix,
 )
 from thermofield.serialize import dump_matrix
 from thermofield.thermal import thermofield_double, verify_betas, verify_equivalence
@@ -112,6 +114,64 @@ class TestBatchEqualsSingleCalls:
             assert report.residual <= bound
 
 
+class TestAdmittedObservableIsAccepted:
+    """An observable that ``require_hermitian`` admits gets finite reports.
+
+    Each side is the real part of ``<x|F|x>`` for a unit ``x``, whose
+    imaginary part is at most ``||F - F^dagger||_2 / 2``: half the bound
+    that admitted ``F``, so the imaginary-residue check cannot reject it.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=16),
+        seed_h=st.integers(min_value=0, max_value=2**63 - 1),
+        seed_f=st.integers(min_value=0, max_value=2**63 - 1),
+        seed_k=st.integers(min_value=0, max_value=2**63 - 1),
+        exponent=st.floats(min_value=-3.0, max_value=300.0),
+        margin=st.floats(min_value=0.0, max_value=0.99),
+        rank_one=st.booleans(),
+        betas=st.lists(
+            st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=4
+        ),
+    )
+    # cold, near the admission bound, rank one: the imaginary part is 0.495 of the bound
+    @example(dim=5, seed_h=1, seed_f=2, seed_k=3, exponent=6.0, margin=0.99, rank_one=True,
+             betas=[1e4])
+    def test_property_admitted_observable(
+        self, dim, seed_h, seed_f, seed_k, exponent, margin, rank_one, betas
+    ):
+        h = build_random_hermitian(dim, seed=seed_h)
+        scale = 10.0**exponent  # norms are taken of F / scale, which cannot overflow
+        hermitian = build_random_hermitian(dim, seed=seed_f).matrix
+        if rank_one:  # i |g><g| on the ground state: the imaginary part reaches the bound
+            ground = hermitian_eig(h).eigenvectors[:, :1]
+            anti = 1j * ground @ dagger(ground)
+        else:
+            g = random_complex_matrix(dim, dim, seed_k)
+            anti = (g - dagger(g)) / 2.0
+        # ||F - F^dagger||_F = margin * 1e-9 * max(1, ||H||_F) <= the admission bound,
+        # since the Hermitian and anti-Hermitian parts are Frobenius-orthogonal
+        target = margin * 1e-9 * max(1.0 / scale, float(np.linalg.norm(hermitian)))
+        unscaled = hermitian + anti * (target / (2.0 * float(np.linalg.norm(anti))))
+        f = Operator(scale * unscaled)
+        require_hermitian(f)
+        bound = 1e-10 * max(1.0, scale * float(np.linalg.norm(unscaled, 2)))
+        for report in verify_betas(h, betas, f):
+            assert math.isfinite(report.trace_average)
+            assert math.isfinite(report.doubled_expectation)
+            assert report.residual <= bound
+
+    def test_scaled_random_observables(self):
+        # 36 of these 50 were rejected when the imaginary residue was held to 1e-10
+        h = build_random_hermitian(16, seed=3)
+        for seed in range(4, 54):
+            f = Operator(1e6 * build_random_hermitian(16, seed=seed).matrix)
+            bound = 1e-10 * max(1.0, float(np.linalg.norm(f.matrix, 2)))
+            for report in verify_betas(h, [0.0, 1.0, 10.0], f):
+                assert report.residual <= bound, seed
+
+
 class TestBothSchmidtRoutes:
     """A unitary on the surroundings alone changes no system quantity.
 
@@ -135,7 +195,7 @@ class TestBothSchmidtRoutes:
         u = oracles.random_unitary(dim, seed_u)
         rotated = BipartitePureState(thermofield_double(h, beta).amplitudes @ u.T)
         bound = 1e-10 * max(1.0, float(np.linalg.norm(f.matrix, 2)))
-        want = thermal.thermal_average(h, beta, f)
+        want = verify_equivalence(h, beta, f).trace_average
         assert abs(bipartite.expectation(rotated, f) - want) <= bound
         measured = bipartite.schmidt_decompose(rotated).coefficients
         constructed = verify_equivalence(h, beta, f).schmidt_coefficients
