@@ -26,6 +26,7 @@ from .linalg import (
     require_hermitian,
     singular_values,
     svd,
+    trace_deviation,
 )
 
 __all__ = [
@@ -104,7 +105,9 @@ class DensityMatrix:
     All three axioms are enforced at construction: Hermiticity residual
     and trace deviation at most 1e-9, smallest eigenvalue at least -1e-9.
     The Hermiticity residual is the one :func:`require_hermitian` keeps on
-    the operator, scaled so it cannot overflow.
+    the operator, scaled so it cannot overflow; the trace deviation is
+    summed on the same scale, so one past the float range is reported as
+    such instead of as ``inf``.
     """
 
     op: Operator
@@ -116,11 +119,10 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix is not Hermitian: {describe_residual(residual, scale)}"
             )
-        trace_dev = abs(complex(np.trace(m)) - 1.0)
+        trace_dev = trace_deviation(self.op)
         if trace_dev > DENSITY_TOL:
-            raise ValidationError(
-                f"density matrix trace deviates from 1 by {trace_dev:.3e}"
-            )
+            by = f"{trace_dev:.3e}" if math.isfinite(trace_dev) else "more than the float range"
+            raise ValidationError(f"density matrix trace deviates from 1 by {by}")
         min_eig = float(eigvalsh(m)[0])
         if min_eig < -DENSITY_TOL:
             raise ValidationError(

@@ -179,6 +179,18 @@ def bound_exceeded(x: float, tol: float, op: Operator | None = None) -> float | 
     return bound * scale if abs(x) / scale > bound else None
 
 
+def trace_deviation(op: Operator) -> float:
+    """``|tr M - 1|`` of ``M = op.matrix``; ``inf`` past the float range.
+
+    The diagonal is summed divided by M's largest entry modulus, kept on
+    ``op`` by :func:`require_hermitian`, so no partial sum overflows and
+    nothing warns; the result overflows only when the deviation does.
+    """
+    _, _, scale = op._hermiticity
+    trace = complex(np.sum(np.diagonal(op.matrix) * (1.0 / scale)))
+    return abs(trace - 1.0 / scale) * scale  # Python floats: inf, no warning
+
+
 def require_hermitian(op: Operator, what: str = "operator") -> None:
     """Reject an operator whose Hermiticity residual exceeds the tolerance.
 

@@ -184,6 +184,22 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError, match="trace"):
             DensityMatrix(Operator(np.eye(2)))
 
+    def test_trace_past_float_range_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (np.diag([1.7e308, 1.7e308]), np.full((2, 2), 1.7e308)):
+                with pytest.raises(
+                    ValidationError,
+                    match="^density matrix trace deviates from 1 by more than the float range$",
+                ):
+                    DensityMatrix(Operator(m))
+
+    def test_trace_summed_without_overflow(self):
+        # a plain sum of this diagonal runs past the float range; its trace is 0
+        m = np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308])
+        with pytest.raises(ValidationError, match="^density matrix trace deviates from 1 by 1.000e"):
+            DensityMatrix(Operator(m))
+
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError, match="eigenvalue"):
             DensityMatrix(Operator(np.diag([1.5, -0.5])))

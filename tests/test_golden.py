@@ -5,8 +5,9 @@ stderr and the exit code with files under ``tests/golden/``:
 
 * ``models/<kind>.json``: one model file per model kind;
 * ``inputs/``: observable files, a Gibbs density file, a non-square
-  matrix, a state whose norm is off by 5e-10 (within admission) and the
-  state files that ``tfd --emit-state`` writes;
+  matrix, a diagonal matrix whose trace is past the float range, a state
+  whose norm is off by 5e-10 (within admission) and the state files that
+  ``tfd --emit-state`` writes;
 * ``stdout/<case>``: the expected stdout bytes of each case that prints;
 * ``written/``: the files that ``--emit-state`` and ``--out`` write;
 * ``expected.json``: the exit code and stderr text of every case.
@@ -201,6 +202,7 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
         ],
         "usage_error": [*spectrum(TWO_LEVEL), "--format", "xml"],
         "nonsquare_density": ["purify", "inputs/nonsquare.json"],
+        "trace_overflow_density": ["purify", "inputs/trace_overflow.json"],
     }
     for bad in BAD_INLINE:
         errors[f"{bad}_model_file"] = spectrum(f"{bad}.json")
@@ -371,6 +373,7 @@ def write_missing_golden() -> None:
     g = models.random_complex_matrix(16, 16, 77)
     files[inputs / "observable16.json"] = serialize.dump_matrix((g + g.conj().T) / 2.0)
     files[inputs / "nonsquare.json"] = serialize.dump_matrix(np.ones((2, 3)))
+    files[inputs / "trace_overflow.json"] = serialize.dump_matrix(np.diag([1.7e308, 1.7e308]))
     files[inputs / "imaginary_identity.json"] = serialize.dump_matrix((1 + 3e-10j) * np.eye(2))
     scaled = 1e6 * models.build_random_hermitian(16, 4).matrix
     files[inputs / "observable16_1e6.json"] = serialize.dump_matrix(scaled)

@@ -1,11 +1,15 @@
+import contextlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermofield import serialize
+from thermofield.bipartite import BipartitePureState
 from thermofield.errors import ValidationError
 from thermofield.models import random_bipartite_state, random_complex_matrix, standard_normals
 from thermofield.serialize import (
@@ -14,6 +18,7 @@ from thermofield.serialize import (
     dump_state,
     load_matrix,
     load_state,
+    parse_json,
     render_number,
     render_number_array,
 )
@@ -152,3 +157,117 @@ class TestReportFormat:
     def test_deterministic_bytes(self):
         report = self.make_report()
         assert dump_report(report) == dump_report(report)
+
+
+# Canonical documents of both array formats; the matrix holds integers,
+# extremes and a -0.0 that is written 0.
+CANONICAL = {
+    "matrix": dump_matrix(
+        np.array([[0.1, -2.5e-300 + 1j], [1e300 - 0.0j, 3.0 + 2.0 / 3.0j]])
+    ).encode(),
+    "state": dump_state(random_bipartite_state(2, 2, seed=304)).encode(),
+}
+NUMBER_TOKEN = re.compile(rb"-?\d[\d.eE+-]*")
+# numbers json reads and orjson rejects or reads otherwise, and numbers
+# neither accepts
+HAZARD_NUMBERS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "1_0", "01", "-0", "true",
+    "1" + "0" * 400, "18446744073709551616",
+]
+DOCUMENT_EDITS = {
+    "none": lambda t: t,
+    "duplicate_key_kept": lambda t: t.replace(b"{", b'{"im": [7, 7, 7, 7], ', 1),
+    "duplicate_key_last": lambda t: t[:-1] + b', "rows": 1}',
+    "bom": lambda t: b"\xef\xbb\xbf" + t,
+    "crlf": lambda t: t.replace(b", ", b",\r\n") + b"\r\n",
+    "trailing_garbage": lambda t: t + b" x",
+    "escaped_lone_surrogate": lambda t: t[:-1] + b', "\\ud800": 0}',
+    "raw_lone_surrogate": lambda t: t.decode()[:-1] + ', "\udcff": 0}',
+    "nested_500": lambda t: t[:-1] + b', "x": ' + b"[" * 500 + b"]" * 500 + b"}",
+    "deep": lambda t: t[:-1] + b', "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+BYTES = st.one_of(st.sampled_from(list(b'0123456789-+.eE,[]{}": \t\r\n\x00\xff')), st.integers(0, 255))
+EDITS = st.one_of(
+    st.tuples(st.sampled_from(["replace", "insert"]), st.integers(0, 10**4), BYTES),
+    st.tuples(st.just("drop"), st.integers(0, 10**4)),
+    st.tuples(st.just("number"), st.integers(0, 10**4), st.sampled_from(HAZARD_NUMBERS)),
+    st.tuples(st.just("document"), st.sampled_from(sorted(DOCUMENT_EDITS))),
+)
+
+
+def mutate(text: bytes, edit: tuple) -> bytes | str:
+    """``text`` with one edit: a byte replaced, inserted or dropped, one number
+    swapped for a token, or one of ``DOCUMENT_EDITS``."""
+    kind, *args = edit
+    if kind == "document":
+        return DOCUMENT_EDITS[args[0]](text)
+    if kind == "number":
+        spans = [m.span() for m in NUMBER_TOKEN.finditer(text)]
+        start, end = spans[args[0] % len(spans)]
+        return text[:start] + args[1].encode() + text[end:]
+    at = args[0] % len(text)
+    rest = text[at + 1:] if kind in ("replace", "drop") else text[at:]
+    return text[:at] + (bytes([args[1]]) if kind != "drop" else b"") + rest
+
+
+def hazard_examples(test):
+    """One ``@example`` per hazard: each number token in place of an "re"
+    entry and of "rows", and each document edit, on both formats."""
+    edits = [("number", at, token) for token in HAZARD_NUMBERS for at in (0, 2)]
+    edits += [("document", name) for name in DOCUMENT_EDITS]
+    for fmt in sorted(CANONICAL):
+        for edit in edits:
+            test = example(fmt=fmt, edit=edit)(test)
+    return test
+
+
+def json_outcome(load, text):
+    """The bits ``load`` gives, or the message it raises, as a comparable value."""
+    try:
+        return load(text).view(np.uint64).tolist()
+    except ValidationError as exc:
+        return str(exc)
+
+
+REFERENCE = {  # the loaders as they read with json alone
+    "matrix": (load_matrix, lambda t: serialize._complex_from(parse_json(t), "rows", "cols")),
+    "state": (
+        lambda t: load_state(t).amplitudes,
+        lambda t: BipartitePureState(
+            serialize._complex_from(parse_json(t), "dim_a", "dim_b")
+        ).amplitudes,
+    ),
+}
+
+
+class TestFastParse:
+    """The array formats are parsed by orjson and must read as json reads them."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(fmt=st.sampled_from(sorted(CANONICAL)), edit=EDITS)
+    @hazard_examples
+    @example(fmt="matrix", edit=("drop", 0))
+    @example(fmt="matrix", edit=("insert", 0, 0x20))
+    @example(fmt="matrix", edit=("replace", 0, 0x5B))
+    def test_property_mutated_text_reads_as_json_reads_it(self, fmt, edit):
+        data = mutate(CANONICAL[fmt], edit)
+        load, reference = REFERENCE[fmt]
+        texts = [data]
+        if isinstance(data, bytes):
+            with contextlib.suppress(UnicodeDecodeError):
+                texts.append(data.decode())
+        for text in texts:
+            assert json_outcome(load, text) == json_outcome(reference, text)
+
+    def test_guard_canonical_documents_skip_json(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called on a canonical document")
+
+        m = random_complex_matrix(5, 3, seed=305)
+        state = random_bipartite_state(4, 6, seed=306)
+        matrix_text, state_text = dump_matrix(m), dump_state(state)
+        monkeypatch.setattr(serialize.json, "loads", refuse)
+        for text in (matrix_text, matrix_text.encode()):
+            np.testing.assert_array_equal(load_matrix(text), m)
+        for text in (state_text, state_text.encode()):
+            np.testing.assert_array_equal(load_state(text).amplitudes, state.amplitudes)
