@@ -22,6 +22,7 @@ from .linalg import (
     describe_residual,
     eigvalsh,
     hermitian_eig,
+    norm_deviation,
     real_value,
     require_hermitian,
     singular_values,
@@ -64,6 +65,11 @@ RANK_CUTOFF = 1e-12
 ENTROPY_CUTOFF = 1e-15
 
 
+def _amount(deviation: float) -> str:
+    """A deviation for an error message, never written as ``inf``."""
+    return f"{deviation:.3e}" if math.isfinite(deviation) else "more than the float range"
+
+
 @dataclass(frozen=True)
 class BipartitePureState:
     """Normalized pure state of a two-factor system.
@@ -81,11 +87,11 @@ class BipartitePureState:
                 f"state with {size} amplitudes exceeds the maximum {MAX_STATE_AMPLITUDES}"
             )
         a = as_complex_matrix(self.amplitudes)
-        norm_sq = float(np.sum(np.abs(a) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        deviation = norm_deviation(a)
+        if deviation > NORM_TOL:
             raise ValidationError(
-                f"state is not normalized: sum of squared amplitudes deviates "
-                f"from 1 by {abs(norm_sq - 1.0):.3e}"
+                "state is not normalized: sum of squared amplitudes deviates "
+                f"from 1 by {_amount(deviation)}"
             )
         object.__setattr__(self, "amplitudes", a)
 
@@ -121,8 +127,7 @@ class DensityMatrix:
             )
         trace_dev = trace_deviation(self.op)
         if trace_dev > DENSITY_TOL:
-            by = f"{trace_dev:.3e}" if math.isfinite(trace_dev) else "more than the float range"
-            raise ValidationError(f"density matrix trace deviates from 1 by {by}")
+            raise ValidationError(f"density matrix trace deviates from 1 by {_amount(trace_dev)}")
         min_eig = float(eigvalsh(m)[0])
         if min_eig < -DENSITY_TOL:
             raise ValidationError(

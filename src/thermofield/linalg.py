@@ -191,6 +191,19 @@ def trace_deviation(op: Operator) -> float:
     return abs(trace - 1.0 / scale) * scale  # Python floats: inf, no warning
 
 
+def norm_deviation(a: np.ndarray) -> float:
+    """``|sum |a_k|**2 - 1|`` of a complex array; ``inf`` past the float range.
+
+    The squares are summed divided by the largest real or imaginary part
+    when that exceeds 1, so none overflows and nothing warns.  Otherwise,
+    as for every normalized state, the sum is the plain one, bit for bit.
+    """
+    parts = a.view(np.float64)
+    scale = max(1.0, float(parts.max()), -float(parts.min()))
+    norm_sq = float(np.sum(np.abs(a if scale == 1.0 else a * (1.0 / scale)) ** 2))
+    return abs(norm_sq - 1.0 / scale / scale) * scale * scale  # Python floats: inf, no warning
+
+
 def require_hermitian(op: Operator, what: str = "operator") -> None:
     """Reject an operator whose Hermiticity residual exceeds the tolerance.
 

@@ -11,6 +11,13 @@ Three flat schemas:
   "doubled_expectation", "residual", "entropy", "schmidt_coefficients"}``
   in exactly that key order.
 
+Array numbers are written with the bytes of ``"%.17g" % x``, but by numpy:
+an exact decimal scaling (Dekker's error-free product, off by less than
+2**-47 of a unit in the 17th digit) and digit tables.  Elements it cannot
+settle are formatted by ``%``: non-finite ones, those outside
+``2**-960 <= |x| < 2**996``, and those within 2**-40 of a rounding tie
+(see :func:`render_number_array`).
+
 The matrix and state formats are read by ``orjson``, which parses them
 several times faster than ``json``.  A document that ``orjson`` or the
 format checks reject, or that holds a key besides the four of its format,
@@ -24,6 +31,7 @@ caller use :func:`parse_json` alone.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -55,15 +63,200 @@ def render_number(x) -> str:
 def render_number_array(values) -> str:
     """JSON array of numbers, each rendered as by :func:`render_number`.
 
-    One ``%`` format call over the whole list; ``"%.17g" % x`` and
-    ``f"{x:.17g}"`` give the same bytes for every float.  An array of zeros
-    (the imaginary half of a real state) is written without formatting.
+    The text is that of ``"%.17g" % (x + 0.0)`` for every element, byte for
+    byte, made by numpy in blocks of ``_BLOCK`` numbers so that scratch
+    memory stays O(block):
+
+    1. The decimal exponent ``E = floor(log10 |x|)`` is exact: a table
+       indexed by the binary exponent of ``x`` gives it up to one
+       comparison with the smallest float not below ``10**(E + 1)``.
+    2. ``y = |x| * 10**(16 - E)``, which lies in ``[1e16, 1e17)``, is formed
+       as a double-double: Dekker's (1971) error-free product of ``|x|`` and
+       the float ``hi`` nearest ``10**(16 - E)``, plus ``|x| * lo`` with
+       ``lo = 10**(16 - E) - hi`` rounded once.  Both come from tables made
+       of Python integers on first use, ``hi`` already split in halves.  The
+       product's high part is an integer (it exceeds 2**53); its low part
+       plus ``|x| * lo`` is within 2**-47 of the exact fraction of ``y``.
+    3. The 17-digit significand is ``y`` rounded to the nearest integer;
+       ``10**17`` becomes ``10**16`` with ``E + 1``.  Its digits come from a
+       4-digit table; trailing zeros are masked off a word at a time.
+    4. Each number fills a 32-byte slot: sign, ``0.``-to-``0.000`` prefix,
+       lead digit, point, 16 digits, ``e±XX[X]`` and ``, `` in fixed
+       columns, NUL in every byte ``%g`` would not print (a point after a
+       later digit is moved there).  One ``bytes.translate`` drops the NULs.
+
+    Zeros are written ``0``.  :func:`render_number` formats the rest of
+    the elements: non-finite ones, those outside the window
+    ``2**-960 <= |x| < 2**996`` (about 1.03e-289 to 6.7e299), and those
+    whose ``y`` has a fraction within ``2**-40`` of one half, where the
+    error bound could decide the rounding (exact ties among them).  An
+    array of zeros (the imaginary half of a real state) is written without
+    formatting.
     """
     numbers = np.asarray(values, dtype=np.float64)
     if not numbers.any():  # -0.0 counts as zero and is written 0 all the same
         return "[" + ", ".join(["0"] * numbers.size) + "]"
-    numbers = (numbers + 0.0).tolist()
-    return "[" + ", ".join(["%.17g"] * len(numbers)) % tuple(numbers) + "]"
+    chunks = [_render_block(numbers[i : i + _BLOCK]) for i in range(0, numbers.size, _BLOCK)]
+    chunks[-1] = chunks[-1][:-2]  # the last ", "
+    return "".join(["[", *chunks, "]"])
+
+
+# -- exact "%.17g" in numpy, for render_number_array -------------------------
+
+_BLOCK = 1 << 14
+
+# The fast path's window as biased binary exponents, 2**-960 <= |x| < 2**996:
+# below it 10**(16 - E) passes the float range, above it 2**27 |x| does.
+_WINDOW = (1023 - 960, 1023 + 996)
+_E_MIN, _E_MAX = -290, 300  # floor(log10 |x|) inside the window
+_TIE_MARGIN = 2.0**-40  # 128 times the error bound of y's fraction
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _pow10(k: int) -> tuple[float, float]:
+    """The float ``hi`` nearest ``10**k`` and ``10**k - hi`` rounded once."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int true division is correctly rounded
+    n, d = hi.as_integer_ratio()
+    return hi, (num * d - n * den) / (den * d)
+
+
+def _words(rows: list[bytes], dtype=np.uint64) -> np.ndarray:
+    """Byte strings, NUL-padded to the width of ``dtype``, as native words."""
+    width = np.dtype(dtype).itemsize
+    return np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows), dtype=dtype)
+
+
+@functools.cache
+def _render_tables() -> dict:
+    """The lookup tables of :func:`_render_block`, made on its first call."""
+    hi, lo = np.array([_pow10(k) for k in range(_E_MIN, 17 - _E_MIN)]).T
+    ceil = np.where(lo > 0, np.nextafter(hi, np.inf), hi)  # smallest float >= 10**E
+    # per biased exponent b: E of 2**(b - 1023), and the float where E + 1 starts
+    b = np.arange(*_WINDOW)
+    e = np.searchsorted(ceil, np.ldexp(1.0, b - 1023), side="right") - 1
+    e_low = np.zeros(2048, dtype=np.int64)
+    e_next = np.full(2048, np.inf)
+    e_low[b], e_next[b] = e + _E_MIN, ceil[e + 1]
+    # 10**(16 - E) for E in [_E_MIN, _E_MAX], hi in Veltkamp's halves
+    k = 16 - np.arange(_E_MIN, _E_MAX + 1) - _E_MIN  # its index in hi and lo
+    m, exp = np.frexp(hi[k])  # split the mantissa, which cannot overflow
+    c = m * _SPLIT
+    top = c - (c - m)
+
+    w = np.arange(10000, dtype=np.int16)
+    four = np.stack([w // 1000, w // 100 % 10, w // 10 % 10, w % 10], axis=1) + ord("0")
+    # how many of w's four digits run up to its last nonzero one (0 for w = 0)
+    kept = (w % 10 > 0).astype(np.int8) + (w % 100 > 0) + (w % 1000 > 0) + (w > 0)
+    # per exponent X in [_E_MIN, _E_MAX + 1] of the rounded number: the lead
+    # digit's place after "0." (0 if not below 1), the integer digits after
+    # the lead one, and the suffix
+    xs = range(_E_MIN, _E_MAX + 2)
+    fixed = [-4 <= x < 17 for x in xs]
+    # sign, "0." and zeros before the lead digit's place, lead digit, point
+    prefixes = [
+        sign + (b"0." + b"0" * (place - 1) if place else b"").ljust(5, b"\0")
+        + str(lead).encode() + (b"." if point and not place else b"\0")
+        for sign in (b"\0", b"-") for place in range(5) for lead in range(10) for point in (0, 1)
+    ]
+    return {
+        "e_low": e_low,
+        "e_next": e_next,
+        "hi_top": np.ldexp(top, exp),
+        "hi_bottom": np.ldexp(m - top, exp),
+        "lo": lo[k],
+        "four": four.astype(np.uint8).view(np.uint32).reshape(-1),
+        # digits after the lead one up to the last nonzero one, by word j
+        "last": [np.where(kept > 0, 4 * j + kept, 0).astype(np.int8) for j in range(4)],
+        # word j masked to the first f digits after the lead one
+        "masks": [
+            _words([b"\xff" * min(max(f - 4 * j, 0), 4) for f in range(17)], np.uint32)
+            for j in range(4)
+        ],
+        "place": np.array([-x if f and x < 0 else 0 for x, f in zip(xs, fixed)]),
+        "whole": np.array([x if f and x > 0 else 0 for x, f in zip(xs, fixed)]),
+        "suffix": _words([b"\0" * 5 + b", " if f else b"e%+03d, " % x for x, f in zip(xs, fixed)]),
+        "prefix": _words(prefixes),
+        # bytes 6..23 of a slot (lead digit, point, 16 digits) with the point
+        # moved after digit j
+        "move_point": np.array([[0, *range(2, j + 2), 1, *range(j + 2, 18)] for j in range(16)]),
+    }
+
+
+
+def _fallback_slots(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each nonzero value, NUL-padded to 24 bytes, from one ``%`` call.
+
+    24 bytes hold the longest, ``-2.2250738585072014e-308``.
+    """
+    text = "%.17g," * values.size % tuple(values.tolist())
+    return np.array(text[:-1].split(","), dtype="S24").view(np.uint8).reshape(-1, 24)
+
+
+def _render_block(x: np.ndarray) -> str:
+    """One block of numbers as ``%.17g`` text, each followed by ``, ``."""
+    t = _render_tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = ((a.view(np.int64) >> 52) - _WINDOW[0]).view(np.uint64) < _WINDOW[1] - _WINDOW[0]
+    np.copyto(a, 1.0, where=~fast)  # zeros and fallback elements run as 1.0
+    b = a.view(np.int64) >> 52
+
+    i = t["e_low"][b] + (a >= t["e_next"][b]) - _E_MIN  # E - _E_MIN, E = floor(log10 |x|)
+    hi_top, hi_bottom, lo = t["hi_top"][i], t["hi_bottom"][i], t["lo"][i]
+    # Dekker's product: p + err == |x| * hi exactly
+    c = a * _SPLIT
+    a_top = c - (c - a)
+    a_bottom = a - a_top
+    p = a * (hi_top + hi_bottom)
+    err = ((a_top * hi_top - p) + a_top * hi_bottom + a_bottom * hi_top) + a_bottom * hi_bottom
+    r = err + a * lo
+    nearest = np.rint(r)
+    slow = np.abs(np.abs(r - nearest) - 0.5) < _TIE_MARGIN
+    slow |= ~fast & ~zero
+    n = p.astype(np.int64) + nearest.astype(np.int64)
+    up = n == 10**17
+    n[up] = 10**16
+    i += up
+
+    high = n // 10**8
+    low = (n - high * 10**8).astype(np.int32)
+    high = high.astype(np.int32)
+    lead = high // 10**8
+    high -= lead * 10**8
+    lead[zero] = 0
+    w0 = high // 10**4
+    w2 = low // 10**4
+    words = (w0, high - w0 * 10**4, w2, low - w2 * 10**4)  # 4 digits each
+    # digits to keep after the lead one: up to the last nonzero one, and at
+    # least those of the integer part
+    last = t["last"]
+    digits = np.maximum(
+        np.maximum(last[0].take(words[0]), last[1].take(words[1])),
+        np.maximum(last[2].take(words[2]), last[3].take(words[3])),
+    )
+    whole = t["whole"].take(i)
+    digits = np.maximum(digits, whole)
+    point = digits > whole
+
+    # slot: sign, prefix (5 bytes), lead digit, point | 16 digits | suffix
+    out = np.empty((x.size, 4), dtype=np.uint64)
+    out[:, 0] = t["prefix"].take((((x < 0) * 5 + t["place"].take(i)) * 10 + lead) * 2 + point)
+    quads = out.view(np.uint32)
+    for j in range(4):
+        quads[:, 2 + j] = t["four"].take(words[j]) & t["masks"][j].take(digits)
+    out[:, 3] = t["suffix"].take(i)
+
+    slots = out.view(np.uint8)
+    moved = np.flatnonzero(point & (whole > 0))
+    if moved.size:
+        span = slots[moved, 6:24]
+        slots[moved, 6:24] = np.take_along_axis(span, t["move_point"][whole[moved]], axis=1)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        slots[slow, :24] = _fallback_slots(x[slow])
+        out[slow, 3] = t["suffix"][-_E_MIN]  # that of X = 0: ", " alone
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def render_object(pairs) -> str:

@@ -77,6 +77,18 @@ class TestBipartitePureState:
         with pytest.raises(ValidationError):
             BipartitePureState(np.array([1.0, 0.0]))
 
+    def test_norm_past_float_range_rejected_without_warning(self):
+        # each sum of squares is past the float range; the last modulus is too
+        message = (
+            "^state is not normalized: sum of squared amplitudes deviates from 1 "
+            "by more than the float range$"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for amp in ([[1e200, 0.0]], [[-1.7976931348623157e308]], [[1.5e308 - 1.5e308j, 0.5]]):
+                with pytest.raises(ValidationError, match=message):
+                    BipartitePureState(np.array(amp))
+
     def test_capacity_guard(self):
         # a read-only broadcast view: the size is checked before any copy
         with pytest.raises(CapacityError):

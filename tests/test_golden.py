@@ -203,6 +203,7 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
         "usage_error": [*spectrum(TWO_LEVEL), "--format", "xml"],
         "nonsquare_density": ["purify", "inputs/nonsquare.json"],
         "trace_overflow_density": ["purify", "inputs/trace_overflow.json"],
+        "norm_overflow_state": ["schmidt", "inputs/norm_overflow.json"],
     }
     for bad in BAD_INLINE:
         errors[f"{bad}_model_file"] = spectrum(f"{bad}.json")
@@ -374,6 +375,9 @@ def write_missing_golden() -> None:
     files[inputs / "observable16.json"] = serialize.dump_matrix((g + g.conj().T) / 2.0)
     files[inputs / "nonsquare.json"] = serialize.dump_matrix(np.ones((2, 3)))
     files[inputs / "trace_overflow.json"] = serialize.dump_matrix(np.diag([1.7e308, 1.7e308]))
+    files[inputs / "norm_overflow.json"] = serialize.render_object(
+        [("dim_a", 1), ("dim_b", 2), ("re", [1e200, 0.0]), ("im", [0.0, 0.0])]
+    )
     files[inputs / "imaginary_identity.json"] = serialize.dump_matrix((1 + 3e-10j) * np.eye(2))
     scaled = 1e6 * models.build_random_hermitian(16, 4).matrix
     files[inputs / "observable16_1e6.json"] = serialize.dump_matrix(scaled)

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -67,6 +68,106 @@ class TestRenderNumber:
         # all 0.0, all -0.0 and mixed zeros take the unformatted path, the rest the % path
         want = "[" + ", ".join("%.17g" % (x + 0.0) for x in values) + "]"
         assert render_number_array(np.array(values, dtype=np.float64)) == want
+
+
+def per_entry(values) -> str:
+    """The reference rendering: one ``%`` call per element."""
+    return "[" + ", ".join("%.17g" % (x + 0.0) for x in np.asarray(values, dtype=np.float64)) + "]"
+
+
+def as_bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def below_power_of_ten(k: int) -> float:
+    """The largest float below ``10**k``."""
+    x = float(Decimal(10) ** k)
+    while Decimal(x) >= Decimal(10) ** k:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def with_neighbours(values) -> list[float]:
+    """Each value and the floats just below and above it."""
+    return [y for x in values for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
+
+
+POWERS_AND_NEIGHBOURS = with_neighbours(float(f"1e{k}") for k in range(-323, 309))
+# the floats below a power of ten that 17 significant digits round up to it
+ROUND_UP = [
+    x for k, x in ((k, below_power_of_ten(k)) for k in range(-323, 309))
+    if Decimal("%.17g" % x) == Decimal(10) ** k
+]
+WINDOW_EDGES = with_neighbours(math.ldexp(1.0, b - 1023) for b in serialize._WINDOW)
+
+
+class TestRenderArray:
+    """``render_number_array`` against one ``%`` call per element."""
+
+    def test_round_up_examples_exist(self):
+        assert len(ROUND_UP) >= 10
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bits=st.integers(0, 3000).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n)))
+    @example(bits=as_bits(POWERS_AND_NEIGHBOURS))
+    @example(bits=as_bits(ROUND_UP + [-x for x in ROUND_UP]))
+    @example(bits=as_bits(with_neighbours([1e-5, 1e-4, 1e16, 1e17, -1e-5, -1e-4, -1e16, -1e17])))
+    @example(bits=as_bits([
+        5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+        2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2),
+    ]))
+    @example(bits=as_bits(WINDOW_EDGES + [-x for x in WINDOW_EDGES]))
+    # exact ties at 17 digits, and integers whose point is moved
+    @example(bits=as_bits([
+        2.0**-25, 2200000000000000.25, 700000000000000.125,
+        12.5, 1234.0, 100.0, 10.25, 123456789012345.6, 1e15 + 0.5, 9999999999999998.0,
+    ]))
+    def test_property_bit_patterns(self, bits):
+        values = np.frombuffer(bits[: len(bits) // 8 * 8], dtype=np.float64)
+        values = values[np.isfinite(values)]
+        assert render_number_array(values) == per_entry(values)
+
+    def test_block_seams(self):
+        size = 2 * serialize._BLOCK + 5
+        decades = np.repeat(np.arange(-25, 25), size // 50 + 1)[:size]
+        values = standard_normals(305, size) * 10.0**decades
+        # a zero, a negative zero, a negative and four fallback elements
+        # (a 17-digit tie, a subnormal, one above the window, a non-finite)
+        special = [0.0, -0.0, -0.5, 2.0**-25, 5e-324, 1e300, math.inf]
+        for seam in (0, serialize._BLOCK, 2 * serialize._BLOCK):
+            for offset, x in zip((-3, -2, -1, 0, 1, 2, 3), special):
+                values[(seam + offset) % size] = x
+        values[-1] = -2.0**-25
+        assert render_number_array(values) == per_entry(values)
+
+    @staticmethod
+    def count_fallback(monkeypatch) -> list[int]:
+        """The sizes of the arrays handed to ``%``, recorded as they come."""
+        calls = []
+        fallback = serialize._fallback_slots
+
+        def record(values):
+            calls.append(values.size)
+            return fallback(values)
+
+        monkeypatch.setattr(serialize, "_fallback_slots", record)
+        return calls
+
+    def test_fallback_formats_each_element(self, monkeypatch):
+        calls = self.count_fallback(monkeypatch)
+        values = np.array([1e-300, 0.5, -math.inf, 2.0**-25, 1e300])
+        assert render_number_array(values) == per_entry(values)
+        assert calls == [4]
+
+    def test_guard_random_state_takes_no_fallback(self, monkeypatch):
+        # no element of a canonical dump is formatted by %
+        calls = self.count_fallback(monkeypatch)
+        state = random_bipartite_state(64, 64, seed=1401)
+        text = dump_state(state)
+        assert calls == []
+        flat = state.amplitudes.reshape(-1)
+        assert text.endswith(f'"re": {per_entry(flat.real)}, "im": {per_entry(flat.imag)}}}')
 
 
 class TestMatrixFormat:
