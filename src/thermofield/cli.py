@@ -21,7 +21,6 @@ from . import bipartite, models, serialize, thermal
 from .bipartite import DensityMatrix
 from .errors import ValidationError
 from .linalg import Operator, bound_exceeded, dagger, hermitian_eig
-from .thermal import ThermalReport
 
 __all__ = ["main"]
 
@@ -38,10 +37,10 @@ def _read_file(path: str) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, *texts: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(texts)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
@@ -96,23 +95,16 @@ def _over_tolerance(
 def _render(records: list, output_format: str, array: bool) -> str:
     """The records as JSON (one object, or an array of them) or as CSV rows.
 
-    A record is a list of fields ``(JSON key, CSV quantity, value)``, or a
-    :class:`ThermalReport`, whose fields and JSON come from ``serialize``.
-    In CSV each field with a quantity is one ``beta,quantity,value`` row (an
+    A record is a list of fields ``(JSON key, CSV quantity, value)``.  In
+    CSV each field with a quantity is one ``beta,quantity,value`` row (an
     array one row ``<quantity>_<k>`` per entry), and the record's ``beta``
-    field fills the beta column.
+    field fills the beta column.  The document has no final newline.
     """
     if output_format == "json":
-        objects = [
-            serialize.dump_report(r)
-            if isinstance(r, ThermalReport)
-            else serialize.render_object((key, value) for key, _, value in r)
-            for r in records
-        ]
-        return ("[" + ", ".join(objects) + "]" if array else objects[0]) + "\n"
+        objects = [serialize.render_object((key, value) for key, _, value in r) for r in records]
+        return "[" + ", ".join(objects) + "]" if array else objects[0]
     lines = [CSV_HEADER]
-    for record in records:
-        fields = serialize.report_fields(record) if isinstance(record, ThermalReport) else record
+    for fields in records:
         beta = next((serialize.render_number(v) for key, _, v in fields if key == "beta"), "")
         for _, quantity, value in fields:
             if quantity is None:
@@ -123,7 +115,7 @@ def _render(records: list, output_format: str, array: bool) -> str:
                 ]
             else:
                 lines.append(f"{beta},{quantity},{serialize.render_number(value)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 # Every command takes the parsed arguments, with ``model`` loaded and ``beta``
@@ -143,7 +135,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list, str | None]:
     observable = _resolve_observable(args.observable, hamiltonian)
     reports = thermal.verify_betas(hamiltonian, args.beta, observable, args.observable)
     worst = max(r.residual for r in reports)
-    return reports, _over_tolerance("equivalence", worst, args.tolerance, observable)
+    failure = _over_tolerance("equivalence", worst, args.tolerance, observable)
+    return [serialize.report_fields(r) for r in reports], failure
 
 
 def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:
@@ -163,7 +156,7 @@ def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:
             ]
         )
         if args.emit_state is not None:
-            _write_text(args.emit_state, serialize.dump_state(state) + "\n")
+            _write_text(args.emit_state, serialize.dump_state(state), "\n")
     return records, None
 
 
@@ -175,7 +168,7 @@ def cmd_purify(args: argparse.Namespace) -> tuple[list, str | None]:
     residual = float(np.linalg.norm(a @ dagger(a) - rho.matrix))
     state_json = serialize.dump_state(state)
     if args.emit_state is not None:
-        _write_text(args.emit_state, state_json + "\n")
+        _write_text(args.emit_state, state_json, "\n")
     record = [("round_trip_residual", "round_trip_residual", residual), ("state", None, state_json)]
     return [record], _over_tolerance("round-trip", residual, args.tolerance)
 
@@ -191,13 +184,12 @@ def cmd_schmidt(args: argparse.Namespace) -> tuple[list, str | None]:
     return [record], None
 
 
-# command -> (function, whether its JSON is an array of records, not one object)
 _COMMANDS = {
-    "spectrum": (cmd_spectrum, False),
-    "verify": (cmd_verify, True),
-    "tfd": (cmd_tfd, True),
-    "purify": (cmd_purify, False),
-    "schmidt": (cmd_schmidt, False),
+    "spectrum": cmd_spectrum,
+    "verify": cmd_verify,
+    "tfd": cmd_tfd,
+    "purify": cmd_purify,
+    "schmidt": cmd_schmidt,
 }
 
 
@@ -249,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    command, array = _COMMANDS[args.command]
     try:
         if hasattr(args, "model"):
             args.model = _load_model(args.model, args.seed)
@@ -258,12 +249,13 @@ def main(argv: list[str] | None = None) -> int:
         _check_nonnegative("tolerance", args.tolerance)
         for beta in getattr(args, "beta", ()):
             _check_nonnegative("beta values", beta)
-        records, failure = command(args)
-        text = _render(records, args.output_format, array)
+        records, failure = _COMMANDS[args.command](args)
+        # a command over a beta list writes one record per beta, as a JSON array
+        text = _render(records, args.output_format, hasattr(args, "beta"))
         if args.output_path is not None:
-            _write_text(args.output_path, text)
+            _write_text(args.output_path, text, "\n")
         else:
-            sys.stdout.write(text)
+            print(text)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

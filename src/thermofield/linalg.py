@@ -55,7 +55,7 @@ def as_complex_matrix(entries) -> np.ndarray:
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValidationError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # False where either part is not finite
         raise ValidationError("matrix entries must be finite (no NaN/Inf)")
     m.flags.writeable = False
     return m

@@ -219,11 +219,10 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
 
 
 def random_complex_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Matrix of independent standard complex normals, filled row-major."""
+    """Matrix of independent standard complex normals, filled row-major (step 4)."""
     if rows < 1 or cols < 1:
         raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    z = standard_normals(seed, 2 * rows * cols)
-    return (z[0::2] + 1j * z[1::2]).reshape(rows, cols)
+    return standard_normals(seed, 2 * rows * cols).view(np.complex128).reshape(rows, cols)
 
 
 def build_random_hermitian(dim: int, seed: int) -> Operator:

@@ -15,8 +15,9 @@ Array numbers are written with the bytes of ``"%.17g" % x``, but by numpy:
 an exact decimal scaling (Dekker's error-free product, off by less than
 2**-47 of a unit in the 17th digit) and digit tables.  Elements it cannot
 settle are formatted by ``%``: non-finite ones, those outside
-``2**-960 <= |x| < 2**996``, and those within 2**-40 of a rounding tie
-(see :func:`render_number_array`).
+``2**-960 <= |x| < 8``, and those within 2**-40 of a rounding tie (see
+:func:`render_number_array`).  The window stops at 8 because bulk output
+is state amplitudes and Schmidt coefficients, all within 1.
 
 The matrix and state formats are read by ``orjson``, which parses them
 several times faster than ``json``.  A document that ``orjson`` or the
@@ -51,7 +52,6 @@ __all__ = [
     "dump_state",
     "load_state",
     "report_fields",
-    "dump_report",
 ]
 
 
@@ -65,9 +65,10 @@ def render_number_array(values) -> str:
 
     The text is that of ``"%.17g" % (x + 0.0)`` for every element, byte for
     byte, made by numpy in blocks of ``_BLOCK`` numbers so that scratch
-    memory stays O(block):
+    memory stays O(block).  Every number it formats has ``|x| < 8``, so no
+    digit but the lead one is left of the point:
 
-    1. The decimal exponent ``E = floor(log10 |x|)`` is exact: a table
+    1. The decimal exponent ``E = floor(log10 |x|) <= 0`` is exact: a table
        indexed by the binary exponent of ``x`` gives it up to one
        comparison with the smallest float not below ``10**(E + 1)``.
     2. ``y = |x| * 10**(16 - E)``, which lies in ``[1e16, 1e17)``, is formed
@@ -82,16 +83,17 @@ def render_number_array(values) -> str:
        4-digit table; trailing zeros are masked off a word at a time.
     4. Each number fills a 32-byte slot: sign, ``0.``-to-``0.000`` prefix,
        lead digit, point, 16 digits, ``e±XX[X]`` and ``, `` in fixed
-       columns, NUL in every byte ``%g`` would not print (a point after a
-       later digit is moved there).  One ``bytes.translate`` drops the NULs.
+       columns, NUL in every byte ``%g`` would not print.  One
+       ``bytes.translate`` drops the NULs.
 
     Zeros are written ``0``.  :func:`render_number` formats the rest of
     the elements: non-finite ones, those outside the window
-    ``2**-960 <= |x| < 2**996`` (about 1.03e-289 to 6.7e299), and those
-    whose ``y`` has a fraction within ``2**-40`` of one half, where the
-    error bound could decide the rounding (exact ties among them).  An
-    array of zeros (the imaginary half of a real state) is written without
-    formatting.
+    ``2**-960 <= |x| < 8``, and those whose ``y`` has a fraction within
+    ``2**-40`` of one half, where the error bound could decide the
+    rounding (exact ties among them).  The window stops at 8 because bulk
+    output is amplitudes and coefficients, all within 1; only a spectrum,
+    which is short, holds larger numbers.  An array of zeros (the
+    imaginary half of a real state) is written without formatting.
     """
     numbers = np.asarray(values, dtype=np.float64)
     if not numbers.any():  # -0.0 counts as zero and is written 0 all the same
@@ -105,10 +107,10 @@ def render_number_array(values) -> str:
 
 _BLOCK = 1 << 14
 
-# The fast path's window as biased binary exponents, 2**-960 <= |x| < 2**996:
-# below it 10**(16 - E) passes the float range, above it 2**27 |x| does.
-_WINDOW = (1023 - 960, 1023 + 996)
-_E_MIN, _E_MAX = -290, 300  # floor(log10 |x|) inside the window
+# The fast path's window as biased binary exponents, 2**-960 <= |x| < 2**3:
+# below it 10**(16 - E) passes the float range.
+_WINDOW = (1023 - 960, 1023 + 3)
+_E_MIN, _E_MAX = -290, 0  # floor(log10 |x|) inside the window
 _TIE_MARGIN = 2.0**-40  # 128 times the error bound of y's fraction
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
@@ -148,10 +150,9 @@ def _render_tables() -> dict:
     four = np.stack([w // 1000, w // 100 % 10, w // 10 % 10, w % 10], axis=1) + ord("0")
     # how many of w's four digits run up to its last nonzero one (0 for w = 0)
     kept = (w % 10 > 0).astype(np.int8) + (w % 100 > 0) + (w % 1000 > 0) + (w > 0)
-    # per exponent X in [_E_MIN, _E_MAX + 1] of the rounded number: the lead
-    # digit's place after "0." (0 if not below 1), the integer digits after
-    # the lead one, and the suffix
-    xs = range(_E_MIN, _E_MAX + 2)
+    # per exponent X in [_E_MIN, _E_MAX] of the rounded number: the lead
+    # digit's place after "0." (0 if not below 1), and the suffix
+    xs = range(_E_MIN, _E_MAX + 1)
     fixed = [-4 <= x < 17 for x in xs]
     # sign, "0." and zeros before the lead digit's place, lead digit, point
     prefixes = [
@@ -174,14 +175,9 @@ def _render_tables() -> dict:
             for j in range(4)
         ],
         "place": np.array([-x if f and x < 0 else 0 for x, f in zip(xs, fixed)]),
-        "whole": np.array([x if f and x > 0 else 0 for x, f in zip(xs, fixed)]),
         "suffix": _words([b"\0" * 5 + b", " if f else b"e%+03d, " % x for x, f in zip(xs, fixed)]),
         "prefix": _words(prefixes),
-        # bytes 6..23 of a slot (lead digit, point, 16 digits) with the point
-        # moved after digit j
-        "move_point": np.array([[0, *range(2, j + 2), 1, *range(j + 2, 18)] for j in range(16)]),
     }
-
 
 
 def _fallback_slots(values: np.ndarray) -> np.ndarray:
@@ -228,16 +224,13 @@ def _render_block(x: np.ndarray) -> str:
     w0 = high // 10**4
     w2 = low // 10**4
     words = (w0, high - w0 * 10**4, w2, low - w2 * 10**4)  # 4 digits each
-    # digits to keep after the lead one: up to the last nonzero one, and at
-    # least those of the integer part
+    # digits to keep after the lead one: up to the last nonzero one
     last = t["last"]
     digits = np.maximum(
         np.maximum(last[0].take(words[0]), last[1].take(words[1])),
         np.maximum(last[2].take(words[2]), last[3].take(words[3])),
     )
-    whole = t["whole"].take(i)
-    digits = np.maximum(digits, whole)
-    point = digits > whole
+    point = digits > 0
 
     # slot: sign, prefix (5 bytes), lead digit, point | 16 digits | suffix
     out = np.empty((x.size, 4), dtype=np.uint64)
@@ -247,14 +240,9 @@ def _render_block(x: np.ndarray) -> str:
         quads[:, 2 + j] = t["four"].take(words[j]) & t["masks"][j].take(digits)
     out[:, 3] = t["suffix"].take(i)
 
-    slots = out.view(np.uint8)
-    moved = np.flatnonzero(point & (whole > 0))
-    if moved.size:
-        span = slots[moved, 6:24]
-        slots[moved, 6:24] = np.take_along_axis(span, t["move_point"][whole[moved]], axis=1)
     slow = np.flatnonzero(slow)
     if slow.size:
-        slots[slow, :24] = _fallback_slots(x[slow])
+        out.view(np.uint8)[slow, :24] = _fallback_slots(x[slow])
         out[slow, 3] = t["suffix"][-_E_MIN]  # that of X = 0: ", " alone
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -395,7 +383,3 @@ def report_fields(report: ThermalReport) -> list[tuple[str, str | None, object]]
         ("schmidt_coefficients", "schmidt_coefficient", report.schmidt_coefficients),
     ]
 
-
-def dump_report(report: ThermalReport) -> str:
-    """Serialize one equivalence report with the documented key order."""
-    return render_object((key, value) for key, _, value in report_fields(report))

@@ -137,6 +137,12 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
                 True,
             ),
             "spectrum_inline.json": (["spectrum", "--model", TWO_LEVEL], True),
+            # eigenvalues 1.5 ... 16.5, on both sides of the renderer's
+            # fast-path edge at 8
+            "spectrum_wide_oscillator.json": (
+                ["spectrum", "--model", model_json("oscillator", omega=3.0, cutoff=6)],
+                True,
+            ),
             "spectrum_seed_override.json": (
                 ["spectrum", "--model", "models/random_hermitian.json", "--seed", "7"],
                 False,

@@ -12,18 +12,26 @@ from hypothesis import strategies as st
 from thermofield import serialize
 from thermofield.bipartite import BipartitePureState
 from thermofield.errors import ValidationError
-from thermofield.models import random_bipartite_state, random_complex_matrix, standard_normals
+from thermofield.bipartite import schmidt_coefficients
+from thermofield.models import (
+    build_ising,
+    build_observable,
+    random_bipartite_state,
+    random_complex_matrix,
+    standard_normals,
+)
 from thermofield.serialize import (
     dump_matrix,
-    dump_report,
     dump_state,
     load_matrix,
     load_state,
     parse_json,
     render_number,
     render_number_array,
+    render_object,
+    report_fields,
 )
-from thermofield.thermal import ThermalReport
+from thermofield.thermal import ThermalReport, thermofield_double, verify_equivalence
 
 
 class TestRenderNumber:
@@ -161,13 +169,27 @@ class TestRenderArray:
         assert calls == [4]
 
     def test_guard_random_state_takes_no_fallback(self, monkeypatch):
-        # no element of a canonical dump is formatted by %
+        # no element of the arrays the CLI writes in bulk is formatted by %:
+        # state amplitudes and Schmidt coefficients all lie within the window
         calls = self.count_fallback(monkeypatch)
-        state = random_bipartite_state(64, 64, seed=1401)
-        text = dump_state(state)
+        ising = build_ising(9, 0.9, 1.1)
+        double = thermofield_double(ising, 0.5)
+        product = np.zeros((2, 3))
+        product[1, 2] = 1.0
+        states = (random_bipartite_state(64, 64, seed=1401), double, BipartitePureState(product))
+        for state in states:
+            text = dump_state(state)
+            flat = state.amplitudes.reshape(-1)
+            assert text.endswith(f'"re": {per_entry(flat.real)}, "im": {per_entry(flat.imag)}}}')
+        tfd = schmidt_coefficients(double)
+        report = verify_equivalence(ising, 0.5, build_observable("energy", ising))
+        for coefficients, fields in (
+            (tfd, [("schmidt_coefficients", "schmidt_coefficient", tfd)]),
+            (report.schmidt_coefficients, report_fields(report)),
+        ):
+            text = render_object((key, value) for key, _, value in fields)
+            assert text.endswith(f'"schmidt_coefficients": {per_entry(coefficients)}}}')
         assert calls == []
-        flat = state.amplitudes.reshape(-1)
-        assert text.endswith(f'"re": {per_entry(flat.real)}, "im": {per_entry(flat.imag)}}}')
 
 
 class TestMatrixFormat:
@@ -235,8 +257,12 @@ class TestReportFormat:
             schmidt_coefficients=np.array([0.9, math.sqrt(1.0 - 0.81)]),
         )
 
+    @staticmethod
+    def render(report):
+        return render_object((key, value) for key, _, value in report_fields(report))
+
     def test_key_order_fixed(self):
-        text = dump_report(self.make_report())
+        text = self.render(self.make_report())
         pairs = json.loads(text, object_pairs_hook=list)
         assert [k for k, _ in pairs] == [
             "beta",
@@ -250,14 +276,14 @@ class TestReportFormat:
 
     def test_numbers_round_trip(self):
         report = self.make_report()
-        obj = json.loads(dump_report(report))
+        obj = json.loads(self.render(report))
         assert obj["beta"] == report.beta
         assert obj["doubled_expectation"] == report.doubled_expectation
         assert obj["schmidt_coefficients"] == list(report.schmidt_coefficients)
 
     def test_deterministic_bytes(self):
         report = self.make_report()
-        assert dump_report(report) == dump_report(report)
+        assert self.render(report) == self.render(report)
 
 
 # Canonical documents of both array formats; the matrix holds integers,
