@@ -17,7 +17,7 @@ from .errors import CapacityError, ValidationError
 from .linalg import (
     MAX_OPERATOR_DIM,
     Operator,
-    as_complex_matrix,
+    as_matrix,
     dagger,
     describe_residual,
     eigvalsh,
@@ -75,7 +75,8 @@ class BipartitePureState:
     """Normalized pure state of a two-factor system.
 
     ``amplitudes`` has shape ``(dim_a, dim_b)``; row index for the system,
-    column index for the surroundings.
+    column index for the surroundings.  It is float64 when every imaginary
+    part is exactly zero, complex128 otherwise (:func:`linalg.as_matrix`).
     """
 
     amplitudes: np.ndarray
@@ -86,7 +87,7 @@ class BipartitePureState:
             raise CapacityError(
                 f"state with {size} amplitudes exceeds the maximum {MAX_STATE_AMPLITUDES}"
             )
-        a = as_complex_matrix(self.amplitudes)
+        a = as_matrix(self.amplitudes)
         deviation = norm_deviation(a)
         if deviation > NORM_TOL:
             raise ValidationError(
@@ -149,7 +150,8 @@ class SchmidtResult:
     """Biorthogonal expansion of a bipartite pure state.
 
     ``coefficients`` are nonnegative and descending with squares summing
-    to 1; ``basis_a`` / ``basis_b`` hold the matching orthonormal columns.
+    to 1; ``basis_a`` / ``basis_b`` hold the matching orthonormal columns,
+    float64 for a real state and complex128 otherwise.
     Columns of ``basis_b`` past ``rank`` are zero placeholders: the
     surroundings vector is undefined where the coefficient vanishes.  The
     squares may deviate from 1 by as much as a state's norm may

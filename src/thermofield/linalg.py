@@ -1,17 +1,16 @@
-"""Dense complex matrix arithmetic and the spectral factorizations.
+"""Dense matrix arithmetic and the spectral factorizations.
 
-Matrices are plain 2-D ``numpy.ndarray`` values of dtype complex128 in
-row-major order.  Square operators are wrapped in :class:`Operator`, which
-pins down the dimension, rejects non-finite entries, and enforces the
-desk-scale capacity limit.  The joint index of a tensor product is always
-``k = i * dim_b + mu`` (first factor major), matching C-order reshapes.
+Matrices are plain 2-D ``numpy.ndarray`` values in row-major order.  Their
+dtype is the one record of realness: float64 for real input, complex128
+otherwise (see :func:`as_matrix`).  Square operators are wrapped in
+:class:`Operator`, which pins down the dimension, rejects non-finite
+entries, and enforces the desk-scale capacity limit.  The joint index of a
+tensor product is always ``k = i * dim_b + mu`` (first factor major),
+matching C-order reshapes.
 
-Every dense factorization of the package (:func:`hermitian_eig`,
-:func:`eigvalsh`, :func:`svd`) runs here.  A matrix whose imaginary parts
-are all exactly zero is factored by the real LAPACK drivers, which are
-several times faster than the complex ones; the results are returned as
-complex128 all the same, and may differ from the complex path at rounding
-level.
+Every dense factorization of the package runs here, as a plain numpy call:
+a float64 matrix goes to the real LAPACK drivers, several times faster than
+the complex ones, and its eigenvectors and singular vectors are float64.
 """
 
 from __future__ import annotations
@@ -48,9 +47,18 @@ MAX_OPERATOR_DIM = 4096
 HERMITICITY_TOL = 1e-9
 
 
-def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce input to a read-only 2-D complex128 array with finite entries."""
-    m = np.array(entries, dtype=np.complex128, order="C")
+def as_matrix(entries) -> np.ndarray:
+    """Coerce input to a read-only 2-D array with finite entries, copied once.
+
+    float64 when the input has no imaginary part or every one is exactly
+    zero (``-0.0`` too), complex128 otherwise; real input is copied straight
+    to float64.
+    """
+    m = np.asarray(entries)
+    if m.dtype.kind not in "biuf":  # complex, or objects numpy reads as complex
+        m = np.asarray(m, dtype=np.complex128)
+    real = m.dtype.kind != "c" or not m.imag.any()
+    m = np.array(m.real if real else m, dtype=np.float64 if real else np.complex128, order="C")
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -63,10 +71,11 @@ def as_complex_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """A square complex matrix with a fixed dimension.
+    """A square matrix with a fixed dimension.
 
     Carries Hamiltonians, observables, and density matrices.  The wrapped
-    array is read-only, so instances are safe to share across threads.
+    array is :func:`as_matrix`'s read-only copy, so instances are safe to
+    share across threads.
 
     The eigendecomposition is made the first time :func:`hermitian_eig` is
     called on an instance and kept, read-only, while the instance lives;
@@ -74,15 +83,15 @@ class Operator:
     :func:`require_hermitian` is kept the same way, so an operator is
     checked once however many layers require it.  Neither cache can go
     stale because the matrix is a private read-only copy.  The
-    eigendecomposition holds a second dim x dim complex array, so a
-    diagonalized operator takes twice the memory of the matrix alone
-    (512 MiB instead of 256 MiB at dim 4096).
+    eigendecomposition holds a second dim x dim array of the matrix's
+    dtype, so a diagonalized operator takes twice the memory of the matrix
+    alone (512 MiB instead of 256 MiB for a complex one at dim 4096).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
+        m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"operator matrix must be square, got {m.shape}")
         if m.shape[0] > MAX_OPERATOR_DIM:
@@ -102,12 +111,20 @@ class Operator:
     @cached_property
     def _eig(self) -> EigResult:
         require_hermitian(self)
-        eigenvalues, eigenvectors = np.linalg.eigh(_real_if_exact(self.matrix))
+        try:
+            eigenvalues, eigenvectors = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError:  # no convergence: retry at a power-of-two scale
+            exponent = math.frexp(self._hermiticity[2])[1]
+            eigenvalues, eigenvectors = np.linalg.eigh(self.matrix * 2.0**-exponent)
+            with np.errstate(over="ignore"):  # an overflow is rejected below
+                eigenvalues = np.ldexp(eigenvalues, exponent)
+        if np.any(eigenvalues[1:] < eigenvalues[:-1]):  # LAPACK can misorder wide spectra
+            order = np.argsort(eigenvalues, kind="stable")
+            eigenvalues, eigenvectors = eigenvalues[order], eigenvectors[:, order]
         if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(eigenvectors))):
             raise ValidationError(
                 "eigendecomposition is not finite: the operator's entries are too large"
             )
-        eigenvectors = eigenvectors.astype(np.complex128, copy=False)
         eigenvalues.flags.writeable = False
         eigenvectors.flags.writeable = False
         return EigResult(eigenvalues, eigenvectors)
@@ -116,8 +133,9 @@ class Operator:
 class EigResult(NamedTuple):
     """Eigendecomposition of a Hermitian operator.
 
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching unit-norm eigenvectors as columns.  Contract: the columns are
+    ``eigenvalues`` are float64 and ascending; ``eigenvectors`` holds the
+    matching unit-norm eigenvectors as columns, float64 for a float64
+    operator and complex128 otherwise.  Contract: the columns are
     orthonormal to within 1e-10 (Frobenius) and the reconstruction residual
     ``||H V - V diag(w)||_F`` stays below ``1e-10 * max(1, ||H||_F)``.
 
@@ -192,7 +210,7 @@ def trace_deviation(op: Operator) -> float:
 
 
 def norm_deviation(a: np.ndarray) -> float:
-    """``|sum |a_k|**2 - 1|`` of a complex array; ``inf`` past the float range.
+    """``|sum |a_k|**2 - 1|`` of an array; ``inf`` past the float range.
 
     The squares are summed divided by the largest real or imaginary part
     when that exceeds 1, so none overflows and nothing warns.  Otherwise,
@@ -249,51 +267,29 @@ def hermitian_eig(h: Operator) -> EigResult:
     Returns
     -------
     EigResult
-        Real eigenvalues sorted ascending and orthonormal complex128
-        eigenvector columns in the same order.  The arrays are read-only
-        and cached on ``h``, so repeated calls (every beta of a sweep, both
-        sides of the equivalence check) share one diagonalization.
-
-    A real-valued ``h`` (every imaginary part exactly zero) is factored in
-    real arithmetic; its eigenvectors are real, and the result may differ
-    from the complex driver's at rounding level.
+        Real eigenvalues sorted ascending and orthonormal eigenvector
+        columns in the same order, float64 for a real ``h`` and complex128
+        otherwise.  The arrays are read-only and cached on ``h``, so
+        repeated calls (every beta of a sweep, both sides of the
+        equivalence check) share one diagonalization.
     """
     return h._eig
 
 
-def _real_if_exact(m) -> np.ndarray:
-    """``m.real`` when every imaginary part is exactly zero, else ``m``."""
-    m = np.asarray(m)
-    return m.real if not m.imag.any() else m
-
-
 def eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, as float64.
-
-    Only the lower triangle is read.  A real-valued ``m`` is factored in
-    real arithmetic.
-    """
-    return np.linalg.eigvalsh(_real_if_exact(m))
+    """Eigenvalues of a Hermitian matrix (lower triangle read), ascending."""
+    return np.linalg.eigvalsh(m)
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin singular value decomposition ``M = U diag(s) Vh``, as numpy's.
 
-    Returns
-    -------
-    (u, s, vh)
-        ``u`` has orthonormal complex128 columns and ``vh`` orthonormal
-        complex128 rows; ``s`` is nonnegative and sorted descending.
-
-    A real-valued ``m`` (every imaginary part exactly zero) is factored in
-    real arithmetic, which can differ from the complex driver at rounding
-    level.
+    ``u`` (orthonormal columns) and ``vh`` (orthonormal rows) have the dtype
+    of ``m``; ``s`` is nonnegative and sorted descending.
     """
-    u, s, vh = np.linalg.svd(_real_if_exact(m), full_matrices=False)
-    return u.astype(np.complex128, copy=False), s, vh.astype(np.complex128, copy=False)
+    return np.linalg.svd(m, full_matrices=False)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of ``m``, descending, as by :func:`svd` without vectors."""
-    return np.linalg.svd(_real_if_exact(m), compute_uv=False)
-
+    return np.linalg.svd(m, compute_uv=False)

@@ -161,7 +161,7 @@ def build_model(spec: ModelSpec) -> Operator:
 def build_two_level(gap: float) -> Operator:
     """Two-level Hamiltonian ``diag(0, gap)``."""
     (gap,) = _checked("two_level", gap)
-    return Operator(np.diag([0.0, gap]).astype(np.complex128))
+    return Operator(np.diag([0.0, gap]))
 
 
 def build_oscillator(omega: float, cutoff: int) -> Operator:
@@ -169,7 +169,7 @@ def build_oscillator(omega: float, cutoff: int) -> Operator:
     omega, cutoff = _checked("oscillator", omega, cutoff)
     with np.errstate(over="ignore"):  # an overflowing level is rejected by Operator
         levels = omega * (np.arange(cutoff) + 0.5)
-    return Operator(np.diag(levels).astype(np.complex128))
+    return Operator(np.diag(levels))
 
 
 def build_ising(n: int, j: float, h_field: float) -> Operator:
@@ -190,7 +190,7 @@ def build_ising(n: int, j: float, h_field: float) -> Operator:
         for k in range(n - 1):
             differ = ((index >> (n - 1 - k)) ^ (index >> (n - 2 - k))) & 1
             diagonal -= j * (1.0 - 2.0 * differ)
-    total = np.diag(diagonal).astype(np.complex128)
+    total = np.diag(diagonal)
     for k in range(n):
         total[index, index ^ (1 << (n - 1 - k))] -= h_field
     return Operator(total)
@@ -247,11 +247,11 @@ def build_observable(name: str, hamiltonian: Operator) -> Operator:
     """
     dim = hamiltonian.dim
     if name == "identity":
-        return Operator(np.eye(dim, dtype=np.complex128))
+        return Operator(np.eye(dim))
     if name == "energy":
         return hamiltonian
     if name == "occupation":
-        return Operator(np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128))
+        return Operator(np.diag(np.arange(dim, dtype=np.float64)))
     if name == "magnetization":
         n = dim.bit_length() - 1
         if 2**n != dim or n < 1:
@@ -263,7 +263,7 @@ def build_observable(name: str, hamiltonian: Operator) -> Operator:
             bit = 1 << (n - 1 - site)  # site 0 is the most significant bit
             signs = np.where(np.arange(dim) & bit, -1.0, 1.0)
             diag += signs
-        return Operator(np.diag(diag / n).astype(np.complex128))
+        return Operator(np.diag(diag / n))
     raise ValidationError(
         f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES} or a file path"
     )

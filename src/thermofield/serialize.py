@@ -92,8 +92,10 @@ def render_number_array(values) -> str:
     ``2**-40`` of one half, where the error bound could decide the
     rounding (exact ties among them).  The window stops at 8 because bulk
     output is amplitudes and coefficients, all within 1; only a spectrum,
-    which is short, holds larger numbers.  An array of zeros (the
-    imaginary half of a real state) is written without formatting.
+    which is short, holds larger numbers.  A block with no element in the
+    window skips the numpy pass and is formatted by one ``%`` call, and an
+    array of zeros (the imaginary half of a real state) is written without
+    formatting.
     """
     numbers = np.asarray(values, dtype=np.float64)
     if not numbers.any():  # -0.0 counts as zero and is written 0 all the same
@@ -180,13 +182,9 @@ def _render_tables() -> dict:
     }
 
 
-def _fallback_slots(values: np.ndarray) -> np.ndarray:
-    """``%.17g`` of each nonzero value, NUL-padded to 24 bytes, from one ``%`` call.
-
-    24 bytes hold the longest, ``-2.2250738585072014e-308``.
-    """
-    text = "%.17g," * values.size % tuple(values.tolist())
-    return np.array(text[:-1].split(","), dtype="S24").view(np.uint8).reshape(-1, 24)
+def _percent(values: np.ndarray) -> str:
+    """``%.17g`` of each value, each followed by ``, ``, from one ``%`` call."""
+    return "%.17g, " * values.size % tuple(values.tolist())
 
 
 def _render_block(x: np.ndarray) -> str:
@@ -195,6 +193,8 @@ def _render_block(x: np.ndarray) -> str:
     a = np.abs(x)
     zero = a == 0.0
     fast = ((a.view(np.int64) >> 52) - _WINDOW[0]).view(np.uint64) < _WINDOW[1] - _WINDOW[0]
+    if not fast.any():  # nothing for the numpy pass; + 0.0 maps -0.0 to 0.0
+        return _percent(x + 0.0)
     np.copyto(a, 1.0, where=~fast)  # zeros and fallback elements run as 1.0
     b = a.view(np.int64) >> 52
 
@@ -242,7 +242,8 @@ def _render_block(x: np.ndarray) -> str:
 
     slow = np.flatnonzero(slow)
     if slow.size:
-        out.view(np.uint8)[slow, :24] = _fallback_slots(x[slow])
+        text = _percent(x[slow])[:-2].split(", ")  # 24 bytes hold -2.2250738585072014e-308
+        out.view(np.uint8)[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
         out[slow, 3] = t["suffix"][-_E_MIN]  # that of X = 0: ", " alone
     return out.tobytes().translate(None, b"\0").decode("ascii")
 

@@ -56,7 +56,7 @@ class ThermalSpectrum:
             raise ValidationError("energies and probabilities must be matching vectors")
         if not np.isfinite(np.concatenate([e, p, [self.log_partition]])).all():
             raise ValidationError("energies, probabilities and log partition sum must be finite")
-        if np.any(np.diff(e) < 0.0):
+        if np.any(e[1:] < e[:-1]):  # no difference, which could overflow
             raise ValidationError("energies must be ascending")
         if np.any(p < 0.0):
             raise ValidationError("probabilities must be nonnegative")

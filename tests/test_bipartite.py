@@ -96,7 +96,7 @@ class TestBipartitePureState:
 
     def test_capacity_checked_before_copy(self, monkeypatch):
         copies = []
-        monkeypatch.setattr(bipartite, "as_complex_matrix", lambda m: copies.append(m))
+        monkeypatch.setattr(bipartite, "as_matrix", lambda m: copies.append(m))
         with pytest.raises(CapacityError, match="16781312 amplitudes exceeds the maximum 16777216"):
             BipartitePureState(np.broadcast_to(0.0, (4097, 4096)))
         assert copies == []

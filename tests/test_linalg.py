@@ -40,10 +40,23 @@ class TestOperator:
         with pytest.raises(CapacityError):
             Operator(np.zeros((4097, 4097)))
 
-    def test_accepts_real_input_as_complex(self):
+    def test_real_input_stays_float64(self):
         op = Operator(np.eye(3))
-        assert op.matrix.dtype == np.complex128
+        assert op.matrix.dtype == np.float64
         assert op.dim == 3
+        assert Operator(np.eye(3, dtype=int)).matrix.dtype == np.float64
+        # imaginary parts that are all +0.0 or -0.0 count as real
+        signed_zeros = np.array(
+            [[1.0 + 0.0j, complex(2.0, -0.0)], [complex(2.0, 0.0), -1.0 - 0.0j]]
+        )
+        real = Operator(signed_zeros).matrix
+        assert real.dtype == np.float64
+        assert real.tobytes() == signed_zeros.real.tobytes()
+        # any other imaginary part keeps the matrix complex, bit for bit
+        tiny = signed_zeros + np.array([[0.0, 1e-300j], [-1e-300j, 0.0]])
+        kept = Operator(tiny).matrix
+        assert kept.dtype == np.complex128
+        assert kept.tobytes() == tiny.tobytes()
 
     def test_matrix_is_read_only(self):
         op = Operator(np.eye(2))
@@ -232,6 +245,40 @@ class TestHermitianEig:
         # finite entries whose eigenvalue 2e308 overflows
         with pytest.raises(ValidationError, match="not finite"):
             hermitian_eig(Operator(np.full((2, 2), 1e308)))
+
+    @staticmethod
+    def assert_contract_scaled(h: np.ndarray, eig) -> None:
+        """The EigResult contract, on H divided by its largest entry modulus."""
+        scale = float(np.max(np.abs(h)))
+        v, w = eig.eigenvectors, eig.eigenvalues / scale
+        assert np.all(eig.eigenvalues[1:] >= eig.eigenvalues[:-1])
+        assert np.linalg.norm((h / scale) @ v - v * w[np.newaxis, :]) <= 1e-10
+        assert np.linalg.norm(dagger(v) @ v - np.eye(len(h))) <= 1e-10
+
+    def test_entries_spread_over_the_float_range(self):
+        # LAPACK's eigh does not converge on this one as it is (LinAlgError);
+        # it does at a power-of-two scale
+        h = np.zeros((4, 4))
+        h[1, 1] = -4.395931908336816e191
+        h[0, 2] = h[2, 0] = 1.0
+        h[0, 3] = h[3, 0] = -2.504731103369256e214
+        for m in (h, h + 1j * (np.triu(np.ones((4, 4)), 1) - np.tril(np.ones((4, 4)), -1))):
+            eig = hermitian_eig(Operator(m))
+            self.assert_contract_scaled(m, eig)
+        assert eig.eigenvalues[0] == pytest.approx(-2.504731103369256e214, rel=1e-12)
+
+    def test_misordered_spectrum_sorted(self):
+        # LAPACK's eigh returns this spectrum out of order, [0, -x, x, y, -y, 0]
+        h = np.zeros((6, 6))
+        h[1, 4] = h[4, 1] = 2.0794865e244
+        h[2, 3] = h[3, 2] = 5.36623743e16
+        h[3, 4] = h[4, 3] = 2.68435453e8
+        phased = h.astype(complex)
+        phased[1, 4], phased[4, 1] = 2.0794865e244j, -2.0794865e244j
+        for m in (h, phased):
+            eig = hermitian_eig(Operator(m))
+            self.assert_contract_scaled(m, eig)
+            assert eig.eigenvalues[[0, -1]] == pytest.approx([-2.0794865e244, 2.0794865e244])
 
     def test_cached_arrays_read_only(self):
         eig = hermitian_eig(build_random_hermitian(4, seed=43))

@@ -155,7 +155,10 @@ class TestIsing:
         couplings = [(0.9, 1.1), (-0.3, 0.0), (0.0, -2.5), tuple(rng.normal(size=2) * 3.0)]
         for j, h in couplings:
             want = ising_by_kronecker(n, j, h)
-            assert build_ising(n, j, h).matrix.tobytes() == want.tobytes(), (n, j, h)
+            assert not want.imag.any()
+            got = build_ising(n, j, h).matrix
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.real.tobytes(), (n, j, h)
 
     def test_overflowing_chain_rejected(self):
         # the diagonal sum -2e308 overflows; no RuntimeWarning escapes
@@ -179,7 +182,8 @@ def ising_by_kronecker(n: int, j: float, h_field: float) -> np.ndarray:
     """The chain as a sum of dense Kronecker products, one term at a time.
 
     The byte reference for :func:`build_ising`: the same terms, added to a
-    complex accumulator in the same order.
+    complex accumulator in the same order, whose real part the float64
+    chain must equal.
     """
     pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     pauli_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)

@@ -1,8 +1,10 @@
-"""Real-valued input is factored in real arithmetic, with unchanged contracts.
+"""Real-valued input stays float64 and is factored in real arithmetic.
 
-A matrix whose imaginary parts are all exactly zero reaches LAPACK as
-float64; anything else stays complex128.  The results are complex128 all
-the same and agree with the complex driver at rounding level.
+A matrix whose imaginary parts are all exactly zero becomes float64 at the
+``Operator`` / ``BipartitePureState`` boundary and reaches LAPACK as such;
+anything else stays complex128.  Eigenvectors and singular vectors keep
+the dtype of their matrix, and the real results agree with the complex
+driver at rounding level.
 """
 
 import json
@@ -102,10 +104,14 @@ class TestAgreementWithComplexDriver:
     @pytest.mark.parametrize("name,m", real_cases(), ids=[name for name, _ in real_cases()])
     def test_spectra_and_reconstructions(self, name, m):
         tol = 1e-12 * max(1.0, float(np.linalg.norm(m, 2)))
-        want_w = np.linalg.eigvalsh(m)  # complex driver on the complex matrix
-        want_s = np.linalg.svd(m, compute_uv=False)
+        c = np.asarray(m, dtype=complex)
+        want_w = np.linalg.eigvalsh(c)  # complex driver on the complex matrix
+        want_s = np.linalg.svd(c, compute_uv=False)
 
-        eig = hermitian_eig(Operator(m))
+        op = Operator(m)
+        m = op.matrix
+        assert m.dtype == np.float64
+        eig = hermitian_eig(op)
         np.testing.assert_allclose(eig.eigenvalues, want_w, rtol=0.0, atol=tol)
         np.testing.assert_allclose(eigvalsh(m), want_w, rtol=0.0, atol=tol)
         v = eig.eigenvectors
@@ -126,17 +132,19 @@ class TestAgreementWithComplexDriver:
 
 
 class TestContracts:
-    def test_eig_result_complex_and_read_only(self):
+    def test_eig_result_dtype_and_read_only(self):
         eig = hermitian_eig(build_ising(4, 0.9, 1.1))
-        assert eig.eigenvalues.dtype == np.float64
-        assert eig.eigenvectors.dtype == np.complex128
+        assert eig.eigenvalues.dtype == eig.eigenvectors.dtype == np.float64
+        assert hermitian_eig(build_random_hermitian(4, seed=1)).eigenvectors.dtype == np.complex128
         with pytest.raises(ValueError):
             eig.eigenvalues[0] = 0.0
         with pytest.raises(ValueError):
             eig.eigenvectors[0, 0] = 0.0
 
-    def test_svd_factors_complex(self):
+    def test_svd_factors_keep_input_dtype(self):
         u, s, vh = svd(real_symmetric(6, seed=3))
+        assert u.dtype == vh.dtype == s.dtype == np.float64
+        u, s, vh = svd(real_symmetric(6, seed=3) + 1j * real_symmetric(6, seed=4))
         assert u.dtype == vh.dtype == np.complex128
         assert s.dtype == np.float64
 

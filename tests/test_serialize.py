@@ -153,14 +153,27 @@ class TestRenderArray:
     def count_fallback(monkeypatch) -> list[int]:
         """The sizes of the arrays handed to ``%``, recorded as they come."""
         calls = []
-        fallback = serialize._fallback_slots
+        percent = serialize._percent
 
         def record(values):
             calls.append(values.size)
-            return fallback(values)
+            return percent(values)
 
-        monkeypatch.setattr(serialize, "_fallback_slots", record)
+        monkeypatch.setattr(serialize, "_percent", record)
         return calls
+
+    def test_block_out_of_window_takes_one_percent_call(self, monkeypatch):
+        # no element in the fast window (zeros, -0.0, numbers >= 8, subnormals,
+        # non-finite): each block, zeros included, is one % call
+        calls = self.count_fallback(monkeypatch)
+        size = 2 * serialize._BLOCK + 5
+        values = 8.0 + np.abs(standard_normals(306, size)) * 10.0 ** (np.arange(size) % 300)
+        values[::7] = 0.0
+        values[3::7] = -0.0
+        values[5::11] *= -1.0
+        values[:4] = [5e-324, -1e-310, math.inf, -math.nan]
+        assert render_number_array(values) == per_entry(values)
+        assert calls == [serialize._BLOCK, serialize._BLOCK, 5]
 
     def test_fallback_formats_each_element(self, monkeypatch):
         calls = self.count_fallback(monkeypatch)

@@ -1,8 +1,11 @@
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import thermofield
@@ -14,8 +17,13 @@ from thermofield.bipartite import (
     schmidt_entropy,
 )
 from thermofield.errors import ValidationError
-from thermofield.linalg import Operator
-from thermofield.models import build_random_hermitian, build_two_level
+from thermofield.linalg import Operator, dagger, hermitian_eig, require_hermitian
+from thermofield.models import (
+    build_ising,
+    build_random_hermitian,
+    build_two_level,
+    standard_normals,
+)
 from thermofield.thermal import (
     ThermalSpectrum,
     decohere_tfd,
@@ -279,3 +287,120 @@ class TestDecohere:
         h = build_random_hermitian(5, seed=37)
         delta = decohere_tfd(h, beta=2.0).matrix - gibbs_density(h, 2.0).matrix
         assert np.linalg.norm(delta) <= 1e-10
+
+
+class TestTildeConjugation:
+    """The paper's claim: on the thermal double, F acting on the system equals
+    its tilde conjugate acting on the surroundings.
+
+    With amplitudes ``a = V rho^{1/2}`` in the eigenbasis ``V``,
+    ``(F (x) 1)|psi> = (1 (x) F~)|psi>`` for
+    ``F~ = (rho^{-1/2} V^dagger F V rho^{1/2})^T``; in amplitude form
+    ``F @ a == a @ F~^T``.  Drawn with ``beta * (E_max - E_min) <= 20`` so
+    that ``rho^{-1/2}`` stays well conditioned.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.one_of(
+            st.tuples(
+                st.just("ising"),
+                st.integers(min_value=1, max_value=5),
+                st.floats(min_value=-3.0, max_value=3.0),
+                st.floats(min_value=-3.0, max_value=3.0),
+            ),
+            st.tuples(
+                st.just("random_hermitian"),
+                st.integers(min_value=2, max_value=32),
+                st.integers(min_value=0, max_value=2**62),
+            ),
+        ),
+        observable_seed=st.integers(min_value=0, max_value=2**62),
+        heat=st.floats(min_value=0.0, max_value=20.0),
+    )
+    def test_property_system_action_is_tilde_action(self, model, observable_seed, heat):
+        if model[0] == "ising":
+            h = build_ising(*model[1:])
+            g = standard_normals(observable_seed, h.dim * h.dim).reshape(h.dim, h.dim)
+            f = (g + g.T) / 2.0  # real, like the chain
+        else:
+            h = build_random_hermitian(*model[1:])
+            f = build_random_hermitian(h.dim, observable_seed).matrix
+        eig = hermitian_eig(h)
+        span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])
+        beta = heat / span if span > 0.0 else heat  # beta * span <= 20
+        a = thermofield_double(h, beta).amplitudes
+        root = np.sqrt(thermal_spectrum(h, beta).probabilities)
+        v = eig.eigenvectors
+        tilde = ((dagger(v) @ f @ v) * root[np.newaxis, :] / root[:, np.newaxis]).T
+        gap = float(np.linalg.norm(f @ a - a @ tilde.T))
+        assert gap <= 1e-9 * max(1.0, float(np.linalg.norm(f))), (model, beta, gap)
+
+
+@st.composite
+def hermitian_inputs(draw):
+    """Exactly Hermitian matrices of side 1..6, entries over the whole float range.
+
+    Three kinds: real symmetric; complex with nonzero imaginary parts; and
+    complex whose imaginary parts are all +0.0 or -0.0, which ``Operator``
+    keeps as float64.
+    """
+    kind = draw(st.sampled_from(["real", "complex", "signed_zero_imag"]))
+    d = draw(st.integers(min_value=1, max_value=6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    entries = st.lists(finite, min_size=d * d, max_size=d * d).map(
+        lambda x: np.array(x).reshape(d, d)
+    )
+    lower = np.tril(draw(entries))
+    m = lower + np.tril(lower, -1).T
+    if kind == "real":
+        return m
+    h = np.empty((d, d), dtype=np.complex128)
+    h.real = m
+    if kind == "complex":
+        strict = np.tril(draw(entries), -1)
+        h.imag = strict - strict.T
+    else:
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d * d, max_size=d * d))
+        h.imag = np.copysign(0.0, np.array(signs).reshape(d, d))
+    return h
+
+
+class TestAdmittedIsAccepted:
+    """An operator that ``Operator`` and ``require_hermitian`` admit,
+    ``hermitian_eig`` and ``thermal_spectrum`` accept at beta 0, 1 and 1e3.
+
+    The failures allowed are the two documented ones: an eigendecomposition
+    that overflows to a non-finite value, and a log partition sum past the
+    float range, which happens exactly when ``beta * E_min`` is past it.
+    Nothing warns.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(h=hermitian_inputs())
+    def test_property_operator_eig_spectrum(self, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = Operator(h)
+            require_hermitian(op)
+            try:
+                eig = hermitian_eig(op)
+            except ValidationError as exc:
+                assert str(exc).startswith("eigendecomposition is not finite"), exc
+                return
+            for beta in (0.0, 1.0, 1e3):
+                try:
+                    spec = thermal_spectrum(op, beta)
+                except ValidationError as exc:
+                    assert not math.isfinite(beta * float(eig.eigenvalues[0])), exc
+                    assert "log partition sum must be finite" in str(exc), exc
+                    continue
+                assert spec.energies is eig.eigenvalues
+                assert math.isfinite(spec.log_partition)
+
+    def test_signed_zero_imaginary_parts_are_real(self):
+        h = np.array([[2.0 + 0.0j, complex(1.0, -0.0)], [complex(1.0, 0.0), -2.0 - 0.0j]])
+        op = Operator(h)
+        assert op.matrix.dtype == np.float64
+        spec = thermal_spectrum(op, 1.0)
+        np.testing.assert_allclose(spec.energies, [-math.sqrt(5.0), math.sqrt(5.0)], atol=1e-14)
