@@ -28,7 +28,6 @@ from .linalg import (
     EigResult,
     Operator,
     dagger,
-    eigvalsh,
     hermitian_eig,
     hermiticity_residual,
     require_hermitian,
@@ -73,7 +72,6 @@ __all__ = [
     "build_observable",
     "dagger",
     "decohere_tfd",
-    "eigvalsh",
     "entanglement_entropy",
     "environment_density",
     "expectation",

@@ -20,7 +20,6 @@ from .linalg import (
     as_matrix,
     dagger,
     describe_residual,
-    eigvalsh,
     hermitian_eig,
     norm_deviation,
     real_value,
@@ -114,13 +113,14 @@ class DensityMatrix:
     The Hermiticity residual is the one :func:`require_hermitian` keeps on
     the operator, scaled so it cannot overflow; the trace deviation is
     summed on the same scale, so one past the float range is reported as
-    such instead of as ``inf``.
+    such instead of as ``inf``.  The smallest eigenvalue is read from
+    :func:`hermitian_eig`, so an admitted matrix carries its
+    eigendecomposition, cached on ``op``, and :func:`purify` reuses it.
     """
 
     op: Operator
 
     def __post_init__(self):
-        m = self.op.matrix
         residual, _, scale = self.op._hermiticity
         if residual * scale > DENSITY_TOL:
             raise ValidationError(
@@ -129,7 +129,7 @@ class DensityMatrix:
         trace_dev = trace_deviation(self.op)
         if trace_dev > DENSITY_TOL:
             raise ValidationError(f"density matrix trace deviates from 1 by {_amount(trace_dev)}")
-        min_eig = float(eigvalsh(m)[0])
+        min_eig = float(hermitian_eig(self.op).eigenvalues[0])
         if min_eig < -DENSITY_TOL:
             raise ValidationError(
                 f"density matrix is not positive semidefinite: "
@@ -269,8 +269,8 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
     coordinate basis is paired with the eigenvectors of ``rho`` in
     descending-eigenvalue order, so the dominant weight sits at
     surroundings index 0 and a projector purifies to a product state on
-    the (0, 0) corner.  The eigenvectors come from :func:`hermitian_eig`,
-    so they are cached on ``rho.op``.
+    the (0, 0) corner.  The eigenvectors are the ones admission cached on
+    ``rho.op`` (:func:`hermitian_eig`), so no second factorization runs.
     """
     eigenvalues, eigenvectors = hermitian_eig(rho.op)
     weights = np.clip(eigenvalues[::-1], 0.0, None)

@@ -166,10 +166,12 @@ def cmd_purify(args: argparse.Namespace) -> tuple[list, str | None]:
     state = bipartite.purify(rho)
     a = state.amplitudes
     residual = float(np.linalg.norm(a @ dagger(a) - rho.matrix))
-    state_json = serialize.dump_state(state)
-    if args.emit_state is not None:
-        _write_text(args.emit_state, state_json, "\n")
-    record = [("round_trip_residual", "round_trip_residual", residual), ("state", None, state_json)]
+    record = [("round_trip_residual", "round_trip_residual", residual)]
+    if args.output_format == "json" or args.emit_state is not None:  # CSV has no state row
+        state_json = serialize.dump_state(state)
+        record.append(("state", None, state_json))
+        if args.emit_state is not None:
+            _write_text(args.emit_state, state_json, "\n")
     return [record], _over_tolerance("round-trip", residual, args.tolerance)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "scaled_hermiticity",
     "require_hermitian",
     "hermitian_eig",
-    "eigvalsh",
     "svd",
     "singular_values",
 ]
@@ -274,11 +273,6 @@ def hermitian_eig(h: Operator) -> EigResult:
         equivalence check) share one diagonalization.
     """
     return h._eig
-
-
-def eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix (lower triangle read), ascending."""
-    return np.linalg.eigvalsh(m)
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
+import cmath
 import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -440,6 +442,67 @@ class TestAdmittedIsAccepted:
         coefficients = schmidt_coefficients(state)
         assert_same_spectrum(coefficients, result)
         assert schmidt_coefficients(again).tobytes() == coefficients.tobytes()
+
+
+@st.composite
+def density_inputs(draw):
+    """Exactly Hermitian unit-trace matrices of side 1..8, real or complex.
+
+    Two kinds: a positive diagonal summing to 1 under off-diagonal entries
+    whose moduli spread over 1e-30..1e300 (or are zero); and a spectrum
+    whose smallest eigenvalue lies near the -1e-9 admission bound, in a
+    random orthonormal basis.
+    """
+    d = draw(st.integers(min_value=1, max_value=8))
+    real = draw(st.booleans())
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))) + 1e-3
+    if d > 1 and draw(st.booleans()):
+        lowest = draw(st.floats(min_value=-2e-9, max_value=0.0))
+        rest = weights[1:] * ((1.0 - lowest) / np.sum(weights[1:]))
+        g = random_complex_matrix(d, d, draw(st.integers(min_value=0, max_value=2**62)))
+        q = np.linalg.qr(g.real if real else g)[0]
+        m = (q * np.concatenate([[lowest], rest])[np.newaxis, :]) @ dagger(q)
+        return (m + dagger(m)) / 2.0
+    m = np.diag(weights / np.sum(weights)).astype(float if real else complex)
+    modulus = st.one_of(st.just(0.0), st.floats(-30.0, 300.0).map(lambda e: 10.0**e))
+    angles = st.floats(0.0, 2 * math.pi)
+    phase = st.sampled_from([1.0, -1.0]) if real else angles.map(lambda t: cmath.rect(1.0, t))
+    for i, j in zip(*np.tril_indices(d, -1)):
+        m[i, j] = draw(modulus) * draw(phase)
+        m[j, i] = np.conj(m[i, j])
+    return m
+
+
+class TestAdmittedIsFactorized:
+    """A matrix that ``DensityMatrix`` admits carries its eigendecomposition.
+
+    Admission raises ``ValidationError`` or leaves a finite, ascending
+    eigendecomposition with no eigenvalue below -1e-9, cached on the
+    operator; ``purify`` reads it and factorizes nothing again.  Nothing
+    else raises and nothing warns.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(m=density_inputs())
+    def test_property_admission_caches_eigh(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = Operator(m)
+            try:
+                rho = DensityMatrix(op)
+            except ValidationError:
+                return
+            assert "_eig" in vars(op)  # the cached_property's slot
+            eigenvalues, eigenvectors = op._eig
+            assert np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(eigenvectors))
+            assert np.all(eigenvalues[1:] >= eigenvalues[:-1])
+            assert eigenvalues[0] >= -1e-9
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                try:
+                    purify(rho)
+                except ValidationError as exc:  # clipping lifts the norm past NORM_TOL
+                    assert str(exc).startswith("state is not normalized"), exc
+            assert eigh.call_count == 0
 
 
 class TestJointDensity:

@@ -347,11 +347,28 @@ class TestPurify:
         state = purify(rho)
         # the residual as a second admitted DensityMatrix gives it
         want = float(np.linalg.norm(reduced_density(state).matrix - rho.matrix))
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
         eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
         assert cli.main(["purify", str(path), "--format", "csv"]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows[1] == f",round_trip_residual,{render_number(want)}"
-        assert len(eigvalsh) == 1  # the admission of the file only
+        # admission factorizes the file once, and purify reuses that eigh
+        assert (len(eigh), len(eigvalsh)) == (1, 0)
+
+    def test_csv_emit_state_matches_json(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text(dump_matrix(np.diag([0.5, 0.3, 0.2])))
+        dumps = count_calls(monkeypatch, cli.serialize, "dump_state")
+        assert cli.main(["purify", str(path), "--format", "csv"]) == 0
+        assert dumps == []  # the CSV record has no state row
+        written = {}
+        for output_format in ("json", "csv"):
+            out = tmp_path / f"{output_format}.json"
+            args = ["purify", str(path), "--format", output_format, "--emit-state", str(out)]
+            assert cli.main(args) == 0
+            written[output_format] = out.read_bytes()
+        assert written["csv"] == written["json"]
+        assert len(dumps) == 2
 
     def test_invalid_density_named_invariant(self, tmp_path):
         path = tmp_path / "rho.json"

@@ -17,7 +17,6 @@ from thermofield import cli
 from thermofield.linalg import (
     Operator,
     dagger,
-    eigvalsh,
     hermitian_eig,
     singular_values,
     svd,
@@ -77,8 +76,8 @@ class TestDriverChoice:
         assert cli.main(["schmidt", str(state)]) == 0
         assert cli.main(["purify", str(gibbs)]) == 0
         kernels = sorted(name for name, _ in seen)
-        # purify: one eigvalsh to admit the file, one eigh to purify it
-        assert kernels == ["eigh", "eigh", "eigvalsh", "svd", "svd"]
+        # purify: one eigh, made by admission and reused by purify
+        assert kernels == ["eigh", "eigh", "svd", "svd"]
         assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
     def test_complex_model_stays_complex(self, monkeypatch, capsys):
@@ -93,10 +92,9 @@ class TestDriverChoice:
         m[1, 0] -= 1e-300j
         seen = record_dtypes(monkeypatch)
         hermitian_eig(Operator(m))
-        eigvalsh(m)
         svd(m)
         singular_values(m)
-        assert len(seen) == 4
+        assert len(seen) == 3
         assert {dtype for _, dtype in seen} == {np.dtype(np.complex128)}
 
 
@@ -113,7 +111,6 @@ class TestAgreementWithComplexDriver:
         assert m.dtype == np.float64
         eig = hermitian_eig(op)
         np.testing.assert_allclose(eig.eigenvalues, want_w, rtol=0.0, atol=tol)
-        np.testing.assert_allclose(eigvalsh(m), want_w, rtol=0.0, atol=tol)
         v = eig.eigenvectors
         rebuilt = (v * eig.eigenvalues[np.newaxis, :]) @ dagger(v)
         assert np.max(np.abs(rebuilt - m)) <= tol
