@@ -46,8 +46,11 @@ __all__ = [
     "joint_density",
 ]
 
-# Largest allowed amplitude count dim_a * dim_b for a joint pure state.
-MAX_STATE_AMPLITUDES = 1 << 24
+# Largest allowed amplitude count dim_a * dim_b for a joint pure state.  A
+# Schmidt form has at most min(dim_a, dim_b) terms, so the surroundings of a
+# d-level system never need more than d levels: the thermal double or
+# purification of every admissible operator fits.
+MAX_STATE_AMPLITUDES = MAX_OPERATOR_DIM**2
 
 # Admission tolerance for state / vector normalization.  Off-norm inputs
 # are rejected, never silently renormalized.
@@ -55,6 +58,15 @@ NORM_TOL = 1e-9
 
 # Density-matrix admission tolerances (absolute).
 DENSITY_TOL = 1e-9
+
+# Rounding allowed, on top of its admission tolerance, to a normalization
+# that a later layer sums again in another order: the squared Schmidt
+# coefficients of a state (min(dim_a, dim_b) terms) or the trace of a
+# reduction (dim terms).  Neither sum has more than MAX_OPERATOR_DIM terms,
+# and each term carries a few units of 2**-52 from the factorization or the
+# product that made it (at most 2.5 measured), so 4 units per term of the
+# longest sum: about 3.6e-12, far below the tolerances themselves.
+ROUNDING_ALLOWANCE = 4 * MAX_OPERATOR_DIM * 2.0**-52
 
 # Schmidt coefficients at or below this fraction of the largest one count
 # as zero when determining the rank.
@@ -109,7 +121,9 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
     All three axioms are enforced at construction: Hermiticity residual
-    and trace deviation at most 1e-9, smallest eigenvalue at least -1e-9.
+    at most 1e-9, trace deviation at most 1e-9 plus ``ROUNDING_ALLOWANCE``
+    (so every reduction of an admitted state is admitted), smallest
+    eigenvalue at least -1e-9.
     The Hermiticity residual is the one :func:`require_hermitian` keeps on
     the operator, scaled so it cannot overflow; the trace deviation is
     summed on the same scale, so one past the float range is reported as
@@ -127,7 +141,7 @@ class DensityMatrix:
                 f"density matrix is not Hermitian: {describe_residual(residual, scale)}"
             )
         trace_dev = trace_deviation(self.op)
-        if trace_dev > DENSITY_TOL:
+        if trace_dev > DENSITY_TOL + ROUNDING_ALLOWANCE:
             raise ValidationError(f"density matrix trace deviates from 1 by {_amount(trace_dev)}")
         min_eig = float(hermitian_eig(self.op).eigenvalues[0])
         if min_eig < -DENSITY_TOL:
@@ -155,7 +169,8 @@ class SchmidtResult:
     Columns of ``basis_b`` past ``rank`` are zero placeholders: the
     surroundings vector is undefined where the coefficient vanishes.  The
     squares may deviate from 1 by as much as a state's norm may
-    (``NORM_TOL``), so every admitted state has a Schmidt form.
+    (``NORM_TOL``) plus ``ROUNDING_ALLOWANCE``, so every admitted state has
+    a Schmidt form.
     """
 
     coefficients: np.ndarray
@@ -177,7 +192,7 @@ def _check_coefficients(c: np.ndarray) -> None:
     if not (np.all(c >= 0.0) and np.all(np.diff(c) <= 0.0)):
         raise ValidationError("Schmidt coefficients must be finite, nonnegative and descending")
     sum_dev = abs(float(np.sum(c**2)) - 1.0)
-    if sum_dev > NORM_TOL:
+    if sum_dev > NORM_TOL + ROUNDING_ALLOWANCE:
         raise ValidationError(
             f"squared Schmidt coefficients must sum to 1, deviation {sum_dev:.3e}"
         )

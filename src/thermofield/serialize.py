@@ -97,12 +97,17 @@ def render_number_array(values) -> str:
     array of zeros (the imaginary half of a real state) is written without
     formatting.
     """
+    return "".join(_array_pieces(values))
+
+
+def _array_pieces(values) -> list[str]:
+    """The text of :func:`render_number_array` as pieces to be joined."""
     numbers = np.asarray(values, dtype=np.float64)
     if not numbers.any():  # -0.0 counts as zero and is written 0 all the same
-        return "[" + ", ".join(["0"] * numbers.size) + "]"
+        return ["[", ", ".join(["0"] * numbers.size), "]"]
     chunks = [_render_block(numbers[i : i + _BLOCK]) for i in range(0, numbers.size, _BLOCK)]
     chunks[-1] = chunks[-1][:-2]  # the last ", "
-    return "".join(["[", *chunks, "]"])
+    return ["[", *chunks, "]"]
 
 
 # -- exact "%.17g" in numpy, for render_number_array -------------------------
@@ -253,17 +258,20 @@ def render_object(pairs) -> str:
 
     A ``str`` value is JSON text and is emitted as it is; a list, tuple or
     array is rendered by :func:`render_number_array`, anything else by
-    :func:`render_number`.
+    :func:`render_number`.  The pieces, array blocks included, are joined
+    once, so the document is copied once.
     """
-    return "{" + ", ".join(f'"{k}": {_render_value(v)}' for k, v in pairs) + "}"
-
-
-def _render_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return render_number_array(value)
-    return render_number(value)
+    pieces = []
+    for key, value in pairs:
+        pieces.append(f', "{key}": ' if pieces else f'{{"{key}": ')
+        if isinstance(value, str):
+            pieces.append(value)
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            pieces += _array_pieces(value)
+        else:
+            pieces.append(render_number(value))
+    pieces.append("}" if pieces else "{}")
+    return "".join(pieces)
 
 
 def dump_matrix(m: np.ndarray) -> str:

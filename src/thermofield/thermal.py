@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bipartite
 from .bipartite import BipartitePureState, DensityMatrix
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .linalg import EigResult, Operator, dagger, hermitian_eig, real_value, require_hermitian
 
 __all__ = [
@@ -159,14 +159,6 @@ def _check_dims(hamiltonian: Operator, observable: Operator) -> None:
         )
 
 
-def _check_capacity(dim: int) -> None:
-    if dim * dim > bipartite.MAX_STATE_AMPLITUDES:
-        raise CapacityError(
-            f"doubled state with {dim * dim} amplitudes exceeds the maximum "
-            f"{bipartite.MAX_STATE_AMPLITUDES}"
-        )
-
-
 def _ensemble_diagonal(eig: EigResult, observable: Operator) -> np.ndarray:
     """Matrix elements ``<n|F|n>`` in the energy eigenbasis; beta does not enter."""
     v = eig.eigenvectors
@@ -180,10 +172,10 @@ def thermofield_double(hamiltonian: Operator, beta: float) -> BipartitePureState
     The doubled factor gets one coordinate basis vector per eigenstate, in
     eigenvalue order, so the amplitude matrix is the eigenvector matrix
     with columns scaled by the square-root probabilities.  Reducing over
-    the doubled factor recovers the Gibbs state exactly.
+    the doubled factor recovers the Gibbs state exactly.  Its d * d
+    amplitudes always fit ``bipartite.MAX_STATE_AMPLITUDES``.
     """
     beta = _check_beta(beta)
-    _check_capacity(hamiltonian.dim)
     eig = hermitian_eig(hamiltonian)
     probabilities, _ = _boltzmann(eig, beta)
     amplitudes = eig.eigenvectors * np.sqrt(probabilities)[np.newaxis, :]
@@ -199,13 +191,12 @@ def verify_betas(
     """Check that the ensemble average equals the doubled-space expectation.
 
     Returns one :class:`ThermalReport` per entry of ``betas``, in order.
-    Every input is validated first (the dimensions, each beta, the
-    capacity of the doubled state), so a bad input raises before any
-    diagonalization.  The work that does not depend on beta is then done
-    once: one diagonalization of the Hamiltonian, one Hermiticity check of
-    the observable, and the eigenbasis matrix elements ``<n|F|n>`` (one
-    ``F @ V`` product).  Each beta then costs one inner product on the
-    ensemble side.
+    Every input is validated first (the dimensions and each beta), so a
+    bad input raises before any diagonalization.  The work that does not
+    depend on beta is then done once: one diagonalization of the
+    Hamiltonian, one Hermiticity check of the observable, and the
+    eigenbasis matrix elements ``<n|F|n>`` (one ``F @ V`` product).  Each
+    beta then costs one inner product on the ensemble side.
 
     The doubled side runs independently for every beta: it builds the
     thermal double with :func:`thermofield_double` and evaluates the
@@ -230,7 +221,6 @@ def verify_betas(
     """
     _check_dims(hamiltonian, observable)
     betas = [_check_beta(beta) for beta in betas]
-    _check_capacity(hamiltonian.dim)
     eig = hermitian_eig(hamiltonian)
     require_hermitian(observable, "observable")
     diagonal = _ensemble_diagonal(eig, observable)

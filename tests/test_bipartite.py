@@ -415,13 +415,79 @@ class TestEntropy:
         assert entanglement_entropy(entangled) > 1e-9
 
 
+@st.composite
+def near_bound_amplitudes(draw):
+    """Amplitudes of sides 1..8, real or complex, entries spread over 1e-8..1.
+
+    The squared norm is off from 1 by 0.999e-9 to 1e-9, either way, so
+    admission's own sum lands on both sides of ``NORM_TOL``.
+    """
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**62)))
+
+    def part():
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 0.0, shape)
+
+    a = part() if draw(st.booleans()) else part() + 1j * part()
+    deviation = draw(st.floats(0.999e-9, 1e-9)) * draw(st.sampled_from([1.0, -1.0]))
+    return a * (math.sqrt(1.0 + deviation) / np.linalg.norm(a))
+
+
 class TestAdmittedIsAccepted:
     """A state that ``BipartitePureState`` admits, every later step accepts.
 
     The chain is admission, ``schmidt_decompose`` and
     ``schmidt_coefficients``, then ``dump_state`` and ``load_state``; the
-    norm may be off by up to 0.99 ``NORM_TOL``.
+    norm may be off by up to 0.99 ``NORM_TOL``.  At the bound itself, every
+    step that sums the normalization again accepts the state too.
     """
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(a=near_bound_amplitudes())
+    def test_property_near_bound_state_accepted(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                state = BipartitePureState(a)
+            except ValidationError as exc:
+                assert str(exc).startswith("state is not normalized"), exc
+                return
+            schmidt_coefficients(state)
+            schmidt_decompose(state)
+            entanglement_entropy(state)
+            reduced_density(state)
+            environment_density(state)
+            joint_density(state)
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [
+            [0.5616013865654373, 0.5801106380621368, 0.5489479561099015, 0.2161750926857217],
+            [0.422052949800261, 0.44936687833064975, 0.4706602014669008, 0.6312049508514661],
+        ],
+    )
+    def test_states_at_the_bound_accepted(self, diagonal):
+        # admission reads a norm deviation of 0.99999997e-9 for both; the
+        # first one's Schmidt squares and both reductions' traces read
+        # 1.00000008e-9, one rounding step past 1e-9
+        state = load_state(dump_state(BipartitePureState(np.diag(diagonal))))
+        assert np.array_equal(schmidt_coefficients(state), np.sort(diagonal)[::-1])
+        assert schmidt_decompose(state).rank == 4
+        reduced_density(state)
+        environment_density(state)
+
+    def test_sums_off_past_the_allowance_rejected(self):
+        # direct inputs hold the admission tolerance; the allowance is
+        # far below 1e-11
+        with pytest.raises(
+            ValidationError,
+            match="^squared Schmidt coefficients must sum to 1, deviation 1.010e-09$",
+        ):
+            SchmidtResult(np.sqrt([0.5 + 1.01e-9, 0.5]), np.eye(2), np.eye(2))
+        with pytest.raises(
+            ValidationError, match="^density matrix trace deviates from 1 by 1.010e-09$"
+        ):
+            DensityMatrix(Operator(np.diag([0.5 - 1.01e-9, 0.5])))
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(

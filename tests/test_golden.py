@@ -6,7 +6,8 @@ stderr and the exit code with files under ``tests/golden/``:
 * ``models/<kind>.json``: one model file per model kind;
 * ``inputs/``: observable files, a Gibbs density file, a non-square
   matrix, a diagonal matrix whose trace is past the float range, a state
-  whose norm is off by 5e-10 (within admission) and the state files that
+  whose norm is off by 5e-10 (within admission), one admitted at the norm
+  bound (deviation 0.99999997e-9) and the state files that
   ``tfd --emit-state`` writes;
 * ``stdout/<case>``: the expected stdout bytes of each case that prints;
 * ``written/``: the files that ``--emit-state`` and ``--out`` write;
@@ -119,6 +120,10 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
     for fmt in ("json", "csv"):
         cases[f"schmidt_off_norm.{fmt}"] = (
             ["schmidt", "inputs/state_off_norm.json", "--format", fmt], True
+        )
+        # admitted, though its Schmidt squares miss 1 by a rounding step past 1e-9
+        cases[f"schmidt_state_near_bound.{fmt}"] = (
+            ["schmidt", "inputs/state_near_bound.json", "--format", fmt], True
         )
     cases.update(
         {
@@ -392,6 +397,10 @@ def write_missing_golden() -> None:
     files[inputs / "gibbs.json"] = serialize.dump_matrix(gibbs)
     off_norm = np.diag([math.sqrt(0.7 + 5e-10), math.sqrt(0.3)])
     files[inputs / "state_off_norm.json"] = serialize.dump_state(BipartitePureState(off_norm))
+    near_bound = np.diag(
+        [0.5616013865654373, 0.5801106380621368, 0.5489479561099015, 0.2161750926857217]
+    )
+    files[inputs / "state_near_bound.json"] = serialize.dump_state(BipartitePureState(near_bound))
     for path, text in files.items():
         path.parent.mkdir(exist_ok=True)
         if not path.exists():

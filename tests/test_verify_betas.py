@@ -22,7 +22,13 @@ from test_cli import count_calls
 from thermofield import bipartite, cli, thermal
 from thermofield.bipartite import BipartitePureState
 from thermofield.errors import CapacityError, ValidationError
-from thermofield.linalg import Operator, dagger, hermitian_eig, require_hermitian
+from thermofield.linalg import (
+    MAX_OPERATOR_DIM,
+    Operator,
+    dagger,
+    hermitian_eig,
+    require_hermitian,
+)
 from thermofield.models import (
     build_ising,
     build_observable,
@@ -35,7 +41,6 @@ from thermofield.serialize import dump_matrix
 from thermofield.thermal import thermofield_double, verify_betas, verify_equivalence
 
 BETAS = (0.0, 0.1, 1.0, 10.0, 100.0)
-RANDOM_64 = '{"kind": "random_hermitian", "params": {"dim": 64, "seed": 3}}'
 
 
 def report_bytes(report) -> tuple:
@@ -224,28 +229,29 @@ class TestOrderOfWork:
         assert eigh == []
 
     def test_capacity_before_diagonalizing(self, monkeypatch):
-        monkeypatch.setattr(bipartite, "MAX_STATE_AMPLITUDES", 64 * 64 - 1)
+        # the one capacity rule: a Hamiltonian past the operator cap is
+        # refused when it is built, so every thermal double fits
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
-        h = build_random_hermitian(64, seed=1)
-        f = build_random_hermitian(64, seed=2)
-        with pytest.raises(CapacityError, match="4096 amplitudes exceeds the maximum 4095"):
-            verify_equivalence(h, 1.0, f)
+        message = "^operator dimension 4097 exceeds the maximum 4096$"
+        with pytest.raises(CapacityError, match=message):
+            Operator(np.broadcast_to(0.0, (4097, 4097)))
         assert eigh == []
 
     def test_cli_capacity_before_diagonalizing(self, monkeypatch, capsys):
-        monkeypatch.setattr(bipartite, "MAX_STATE_AMPLITUDES", 64 * 64 - 1)
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
-        args = ["verify", "--model", RANDOM_64, "--observable", "energy", "--beta", "0,1"]
+        model = '{"kind": "random_hermitian", "params": {"dim": 4097, "seed": 1}}'
+        args = ["verify", "--model", model, "--observable", "energy", "--beta", "0,1"]
         assert cli.main(args) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: doubled state with 4096 amplitudes exceeds the maximum 4095\n"
+            "error: model 'random_hermitian' parameter 'dim' must be in [2, 4096], got 4097\n"
         )
         assert eigh == []
 
     def test_capacity_is_the_documented_ceiling(self):
         assert bipartite.MAX_STATE_AMPLITUDES == 4096 * 4096
+        assert bipartite.MAX_STATE_AMPLITUDES == MAX_OPERATOR_DIM**2
 
     def test_one_ensemble_diagonal_per_command(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "f.json"
