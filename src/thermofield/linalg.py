@@ -90,13 +90,14 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        shape = np.shape(self.matrix)  # before as_matrix copies
+        if len(shape) == 2 and shape[0] == shape[1] > MAX_OPERATOR_DIM:
+            raise CapacityError(
+                f"operator dimension {shape[0]} exceeds the maximum {MAX_OPERATOR_DIM}"
+            )
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"operator matrix must be square, got {m.shape}")
-        if m.shape[0] > MAX_OPERATOR_DIM:
-            raise CapacityError(
-                f"operator dimension {m.shape[0]} exceeds the maximum {MAX_OPERATOR_DIM}"
-            )
         object.__setattr__(self, "matrix", m)
 
     @property

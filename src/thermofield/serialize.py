@@ -12,12 +12,12 @@ Three flat schemas:
   in exactly that key order.
 
 Array numbers are written with the bytes of ``"%.17g" % x``, but by numpy:
-an exact decimal scaling (Dekker's error-free product, off by less than
-2**-47 of a unit in the 17th digit) and digit tables.  Elements it cannot
-settle are formatted by ``%``: non-finite ones, those outside
-``2**-960 <= |x| < 8``, and those within 2**-40 of a rounding tie (see
-:func:`render_number_array`).  The window stops at 8 because bulk output
-is state amplitudes and Schmidt coefficients, all within 1.
+an exact decimal scaling (Dekker's error-free product) and digit tables.
+A block with any element the numpy pass cannot settle (non-finite, outside
+``2**-960 <= |x| < 8``, or within 2**-40 of a rounding tie) is written by
+one ``%`` call (see :func:`render_number_array`).  The window stops at 8
+because bulk output is state amplitudes and Schmidt coefficients, all
+within 1.
 
 The matrix and state formats are read by ``orjson``, which parses them
 several times faster than ``json``.  A document that ``orjson`` or the
@@ -40,6 +40,7 @@ import orjson
 
 from .bipartite import BipartitePureState
 from .errors import ValidationError
+from .linalg import as_matrix
 from .thermal import ThermalReport
 
 __all__ = [
@@ -64,9 +65,14 @@ def render_number_array(values) -> str:
     """JSON array of numbers, each rendered as by :func:`render_number`.
 
     The text is that of ``"%.17g" % (x + 0.0)`` for every element, byte for
-    byte, made by numpy in blocks of ``_BLOCK`` numbers so that scratch
-    memory stays O(block).  Every number it formats has ``|x| < 8``, so no
-    digit but the lead one is left of the point:
+    byte, written in blocks of ``_BLOCK`` numbers so that scratch memory
+    stays O(block).  A block of zeros is written without formatting.  A
+    block with any element the numpy pass cannot settle is written by one
+    ``%`` call: a non-finite element, one outside ``2**-960 <= |x| < 8``,
+    or one whose ``y`` has a fraction within ``2**-40`` of one half, where
+    the error bound could decide the rounding (exact ties among them).
+    The numpy pass writes every other block; no digit but the lead one is
+    left of the point:
 
     1. The decimal exponent ``E = floor(log10 |x|) <= 0`` is exact: a table
        indexed by the binary exponent of ``x`` gives it up to one
@@ -85,17 +91,6 @@ def render_number_array(values) -> str:
        lead digit, point, 16 digits, ``e±XX[X]`` and ``, `` in fixed
        columns, NUL in every byte ``%g`` would not print.  One
        ``bytes.translate`` drops the NULs.
-
-    Zeros are written ``0``.  :func:`render_number` formats the rest of
-    the elements: non-finite ones, those outside the window
-    ``2**-960 <= |x| < 8``, and those whose ``y`` has a fraction within
-    ``2**-40`` of one half, where the error bound could decide the
-    rounding (exact ties among them).  The window stops at 8 because bulk
-    output is amplitudes and coefficients, all within 1; only a spectrum,
-    which is short, holds larger numbers.  A block with no element in the
-    window skips the numpy pass and is formatted by one ``%`` call, and an
-    array of zeros (the imaginary half of a real state) is written without
-    formatting.
     """
     return "".join(_array_pieces(values))
 
@@ -103,10 +98,9 @@ def render_number_array(values) -> str:
 def _array_pieces(values) -> list[str]:
     """The text of :func:`render_number_array` as pieces to be joined."""
     numbers = np.asarray(values, dtype=np.float64)
-    if not numbers.any():  # -0.0 counts as zero and is written 0 all the same
-        return ["[", ", ".join(["0"] * numbers.size), "]"]
     chunks = [_render_block(numbers[i : i + _BLOCK]) for i in range(0, numbers.size, _BLOCK)]
-    chunks[-1] = chunks[-1][:-2]  # the last ", "
+    if chunks:
+        chunks[-1] = chunks[-1][:-2]  # the last ", "
     return ["[", *chunks, "]"]
 
 
@@ -193,14 +187,20 @@ def _percent(values: np.ndarray) -> str:
 
 
 def _render_block(x: np.ndarray) -> str:
-    """One block of numbers as ``%.17g`` text, each followed by ``, ``."""
-    t = _render_tables()
+    """One block of numbers as ``%.17g`` text, each followed by ``, ``.
+
+    All zeros (``-0.0`` too) are written ``0``; a block with any element
+    the numpy pass cannot settle is one ``%`` call; numpy writes the rest.
+    """
     a = np.abs(x)
     zero = a == 0.0
+    if zero.all():
+        return "0, " * x.size
     fast = ((a.view(np.int64) >> 52) - _WINDOW[0]).view(np.uint64) < _WINDOW[1] - _WINDOW[0]
-    if not fast.any():  # nothing for the numpy pass; + 0.0 maps -0.0 to 0.0
+    if not (fast | zero).all():  # + 0.0 maps -0.0 to 0.0
         return _percent(x + 0.0)
-    np.copyto(a, 1.0, where=~fast)  # zeros and fallback elements run as 1.0
+    t = _render_tables()
+    np.copyto(a, 1.0, where=zero)  # zeros run as 1.0
     b = a.view(np.int64) >> 52
 
     i = t["e_low"][b] + (a >= t["e_next"][b]) - _E_MIN  # E - _E_MIN, E = floor(log10 |x|)
@@ -213,8 +213,8 @@ def _render_block(x: np.ndarray) -> str:
     err = ((a_top * hi_top - p) + a_top * hi_bottom + a_bottom * hi_top) + a_bottom * hi_bottom
     r = err + a * lo
     nearest = np.rint(r)
-    slow = np.abs(np.abs(r - nearest) - 0.5) < _TIE_MARGIN
-    slow |= ~fast & ~zero
+    if (np.abs(np.abs(r - nearest) - 0.5) < _TIE_MARGIN).any():  # near a rounding tie
+        return _percent(x + 0.0)
     n = p.astype(np.int64) + nearest.astype(np.int64)
     up = n == 10**17
     n[up] = 10**16
@@ -244,12 +244,6 @@ def _render_block(x: np.ndarray) -> str:
     for j in range(4):
         quads[:, 2 + j] = t["four"].take(words[j]) & t["masks"][j].take(digits)
     out[:, 3] = t["suffix"].take(i)
-
-    slow = np.flatnonzero(slow)
-    if slow.size:
-        text = _percent(x[slow])[:-2].split(", ")  # 24 bytes hold -2.2250738585072014e-308
-        out.view(np.uint8)[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
-        out[slow, 3] = t["suffix"][-_E_MIN]  # that of X = 0: ", " alone
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -275,11 +269,12 @@ def render_object(pairs) -> str:
 
 
 def dump_matrix(m: np.ndarray) -> str:
-    """Serialize a 2-D complex array to the shared matrix format."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return _dump_complex(m, "rows", "cols")
+    """Serialize a 2-D array to the shared matrix format.
+
+    A non-finite or empty matrix, which :func:`load_matrix` would reject,
+    raises :class:`ValidationError` (:func:`linalg.as_matrix`).
+    """
+    return _dump_complex(as_matrix(m), "rows", "cols")
 
 
 def _dump_complex(m: np.ndarray, rows_key: str, cols_key: str) -> str:

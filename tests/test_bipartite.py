@@ -223,6 +223,17 @@ class TestDensityMatrix:
         m = np.diag([1.0 + 4e-10, -4e-10])
         DensityMatrix(Operator(m))
 
+    def test_dim(self):
+        assert DensityMatrix(Operator(np.eye(3) / 3.0)).dim == 3
+
+    def test_joint_density_capacity_before_outer(self, monkeypatch):
+        outer = []
+        monkeypatch.setattr(np, "outer", lambda *args: outer.append(args))
+        state = BipartitePureState(np.full((65, 64), 1.0 / math.sqrt(65 * 64)))
+        with pytest.raises(CapacityError, match="^joint dimension 4160 exceeds the maximum 4096$"):
+            joint_density(state)
+        assert outer == []
+
 
 class TestSchmidt:
     def test_nan_coefficients_rejected(self):

@@ -426,6 +426,19 @@ class TestPlumbing:
         assert proc.stdout == ""
         json.loads(out.read_text())
 
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        args = ["verify", "--model", TWO_LEVEL, "--observable", "energy", "--beta", "1"]
+        assert cli.main([*args, "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith(f"error: cannot write {out}: ")
+        assert len(stderr.splitlines()) == 1
+
+    def test_empty_beta_list(self, capsys):
+        assert cli.main(["tfd", "--model", TWO_LEVEL, "--beta", ","]) == 2
+        assert capsys.readouterr() == ("", "error: beta list must not be empty\n")
+
     def test_byte_determinism(self):
         args = ("verify", "--model", RANDOM_5, "--observable", "energy", "--beta", "0.5,2")
         first = run_cli(*args)

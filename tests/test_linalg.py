@@ -1,5 +1,6 @@
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,24 @@ class TestOperator:
     def test_rejects_oversize(self):
         with pytest.raises(CapacityError):
             Operator(np.zeros((4097, 4097)))
+
+    def test_capacity_checked_before_copy(self):
+        # a read-only broadcast view: the side is checked before as_matrix copies
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                CapacityError, match="^operator dimension 4097 exceeds the maximum 4096$"
+            ):
+                Operator(np.broadcast_to(0.0, (4097, 4097)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_rejects_empty_side(self):
+        message = r"^matrix dimensions must be positive, got \(0, 3\)$"
+        with pytest.raises(ValidationError, match=message):
+            linalg.as_matrix(np.zeros((0, 3)))
 
     def test_real_input_stays_float64(self):
         op = Operator(np.eye(3))

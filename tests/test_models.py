@@ -17,6 +17,7 @@ from thermofield.models import (
     build_two_level,
     parse_model_spec,
     random_bipartite_state,
+    random_complex_matrix,
     standard_normals,
 )
 from thermofield.thermal import thermal_spectrum
@@ -66,6 +67,10 @@ class TestModelSpec:
     def test_rejects_extra_top_level_keys(self):
         with pytest.raises(ValidationError):
             parse_model_spec({"kind": "two_level", "params": {"gap": 1.0}, "note": "x"})
+
+    def test_rejects_non_object_params(self):
+        with pytest.raises(ValidationError, match='^model "params" must be an object$'):
+            parse_model_spec({"kind": "two_level", "params": []})
 
     def test_rejects_non_object(self):
         with pytest.raises(ValidationError):
@@ -236,6 +241,14 @@ class TestGeneratorVectors:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
             standard_normals(-1, 4)
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ValidationError, match="^seed must be an integer$"):
+            standard_normals(1.5, 2)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="^matrix dimensions must be positive, got 0x3$"):
+            random_complex_matrix(0, 3, 1)
 
 
 class TestRandomStates:

@@ -176,10 +176,17 @@ class TestRenderArray:
         assert calls == [serialize._BLOCK, serialize._BLOCK, 5]
 
     def test_fallback_formats_each_element(self, monkeypatch):
+        # one element the numpy pass cannot settle sends the whole block to
+        # one % call: here out-of-window and non-finite ones, or a lone
+        # 17-digit tie among numbers inside the window
         calls = self.count_fallback(monkeypatch)
-        values = np.array([1e-300, 0.5, -math.inf, 2.0**-25, 1e300])
-        assert render_number_array(values) == per_entry(values)
-        assert calls == [4]
+        for values in (
+            [1e-300, 0.5, -math.inf, 2.0**-25, 1e300],
+            [0.5, -0.25, 0.0, 2.0**-25, 0.1, -0.0, 3.0],
+        ):
+            calls.clear()
+            assert render_number_array(np.array(values)) == per_entry(values)
+            assert calls == [len(values)]
 
     def test_guard_random_state_takes_no_fallback(self, monkeypatch):
         # no element of the arrays the CLI writes in bulk is formatted by %:
@@ -242,6 +249,22 @@ class TestMatrixFormat:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValidationError):
             load_matrix('{"rows": 0, "cols": 1, "re": [], "im": []}')
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ValidationError, match="^expected a JSON object at the top level$"):
+            load_matrix(b"[]")
+
+    def test_dump_refuses_what_load_rejects(self):
+        # non-finite entries would be written nan/inf, an empty side "rows": 0
+        for m, message in (
+            ([[np.nan, 0.0], [0.0, 1.0]], "entries must be finite"),
+            ([[1.0, np.inf], [1e400, 0.0]], "entries must be finite"),
+            ([[1.0, complex(0.0, np.inf)]], "entries must be finite"),
+            (np.zeros((0, 3)), r"dimensions must be positive, got \(0, 3\)"),
+            (np.zeros(3), "expected a 2-D matrix, got ndim=1"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                dump_matrix(np.array(m))
 
 
 class TestStateFormat:

@@ -100,6 +100,12 @@ class TestThermalSpectrum:
                 log_partition=0.0,
             )
 
+    def test_vector_invariants_named(self):
+        with pytest.raises(ValidationError, match="^energies and probabilities must be matching"):
+            ThermalSpectrum(1.0, np.array([0.0, 1.0]), np.array([1.0]), 0.0)
+        with pytest.raises(ValidationError, match="^probabilities must be nonnegative$"):
+            ThermalSpectrum(1.0, np.array([0.0, 1.0]), np.array([1.5, -0.5]), 0.0)
+
     def test_non_finite_probabilities_rejected(self):
         with pytest.raises(ValidationError, match="^energies, probabilities and log partition"):
             ThermalSpectrum(0.0, np.array([0.0, 1.0]), np.array([math.nan, math.nan]), 0.0)
