@@ -15,7 +15,12 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .linalg import (
+    ADMISSION_TOL,
+    ENTROPY_CUTOFF,
     MAX_OPERATOR_DIM,
+    RANK_CUTOFF,
+    RESIDUAL_TOL,
+    ROUNDING_ALLOWANCE,
     Operator,
     as_matrix,
     dagger,
@@ -52,29 +57,6 @@ __all__ = [
 # purification of every admissible operator fits.
 MAX_STATE_AMPLITUDES = MAX_OPERATOR_DIM**2
 
-# Admission tolerance for state / vector normalization.  Off-norm inputs
-# are rejected, never silently renormalized.
-NORM_TOL = 1e-9
-
-# Density-matrix admission tolerances (absolute).
-DENSITY_TOL = 1e-9
-
-# Rounding allowed, on top of its admission tolerance, to a normalization
-# that a later layer sums again in another order: the squared Schmidt
-# coefficients of a state (min(dim_a, dim_b) terms) or the trace of a
-# reduction (dim terms).  Neither sum has more than MAX_OPERATOR_DIM terms,
-# and each term carries a few units of 2**-52 from the factorization or the
-# product that made it (at most 2.5 measured), so 4 units per term of the
-# longest sum: about 3.6e-12, far below the tolerances themselves.
-ROUNDING_ALLOWANCE = 4 * MAX_OPERATOR_DIM * 2.0**-52
-
-# Schmidt coefficients at or below this fraction of the largest one count
-# as zero when determining the rank.
-RANK_CUTOFF = 1e-12
-
-# Probabilities below this are dropped from the entropy sum (0 ln 0 = 0).
-ENTROPY_CUTOFF = 1e-15
-
 
 def _amount(deviation: float) -> str:
     """A deviation for an error message, never written as ``inf``."""
@@ -88,6 +70,8 @@ class BipartitePureState:
     ``amplitudes`` has shape ``(dim_a, dim_b)``; row index for the system,
     column index for the surroundings.  It is float64 when every imaginary
     part is exactly zero, complex128 otherwise (:func:`linalg.as_matrix`).
+    The squared amplitudes must sum to 1 within ``linalg.ADMISSION_TOL``:
+    off-norm input is rejected, never silently renormalized.
     """
 
     amplitudes: np.ndarray
@@ -100,7 +84,7 @@ class BipartitePureState:
             )
         a = as_matrix(self.amplitudes)
         deviation = norm_deviation(a)
-        if deviation > NORM_TOL:
+        if deviation > ADMISSION_TOL:
             raise ValidationError(
                 "state is not normalized: sum of squared amplitudes deviates "
                 f"from 1 by {_amount(deviation)}"
@@ -120,10 +104,10 @@ class BipartitePureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
-    All three axioms are enforced at construction: Hermiticity residual
-    at most 1e-9, trace deviation at most 1e-9 plus ``ROUNDING_ALLOWANCE``
-    (so every reduction of an admitted state is admitted), smallest
-    eigenvalue at least -1e-9.
+    All three axioms are enforced at construction, each within the
+    absolute ``linalg.ADMISSION_TOL``: the Hermiticity residual, the trace
+    deviation (plus ``linalg.ROUNDING_ALLOWANCE``, so every reduction of an
+    admitted state is admitted) and the smallest eigenvalue's negative part.
     The Hermiticity residual is the one :func:`require_hermitian` keeps on
     the operator, scaled so it cannot overflow; the trace deviation is
     summed on the same scale, so one past the float range is reported as
@@ -136,15 +120,15 @@ class DensityMatrix:
 
     def __post_init__(self):
         residual, _, scale = self.op._hermiticity
-        if residual * scale > DENSITY_TOL:
+        if residual * scale > ADMISSION_TOL:
             raise ValidationError(
                 f"density matrix is not Hermitian: {describe_residual(residual, scale)}"
             )
         trace_dev = trace_deviation(self.op)
-        if trace_dev > DENSITY_TOL + ROUNDING_ALLOWANCE:
+        if trace_dev > ADMISSION_TOL + ROUNDING_ALLOWANCE:
             raise ValidationError(f"density matrix trace deviates from 1 by {_amount(trace_dev)}")
         min_eig = float(hermitian_eig(self.op).eigenvalues[0])
-        if min_eig < -DENSITY_TOL:
+        if min_eig < -ADMISSION_TOL:
             raise ValidationError(
                 f"density matrix is not positive semidefinite: "
                 f"smallest eigenvalue {min_eig:.3e}"
@@ -169,8 +153,8 @@ class SchmidtResult:
     Columns of ``basis_b`` past ``rank`` are zero placeholders: the
     surroundings vector is undefined where the coefficient vanishes.  The
     squares may deviate from 1 by as much as a state's norm may
-    (``NORM_TOL``) plus ``ROUNDING_ALLOWANCE``, so every admitted state has
-    a Schmidt form.
+    (``linalg.ADMISSION_TOL``) plus ``linalg.ROUNDING_ALLOWANCE``, so every
+    admitted state has a Schmidt form.
     """
 
     coefficients: np.ndarray
@@ -192,7 +176,7 @@ def _check_coefficients(c: np.ndarray) -> None:
     if not (np.all(c >= 0.0) and np.all(np.diff(c) <= 0.0)):
         raise ValidationError("Schmidt coefficients must be finite, nonnegative and descending")
     sum_dev = abs(float(np.sum(c**2)) - 1.0)
-    if sum_dev > NORM_TOL + ROUNDING_ALLOWANCE:
+    if sum_dev > ADMISSION_TOL + ROUNDING_ALLOWANCE:
         raise ValidationError(
             f"squared Schmidt coefficients must sum to 1, deviation {sum_dev:.3e}"
         )
@@ -242,7 +226,7 @@ def schmidt_decompose(state: BipartitePureState) -> SchmidtResult:
     column compensating, which makes the output deterministic whenever the
     coefficients are nondegenerate.  The surroundings columns past the rank
     are zeroed.  A dense reconstruction is checked against the amplitudes
-    within 1e-10 Frobenius.
+    within ``linalg.RESIDUAL_TOL`` Frobenius.
     """
     u, s, vh = svd(state.amplitudes)
     rank = schmidt_rank(s)
@@ -254,8 +238,10 @@ def schmidt_decompose(state: BipartitePureState) -> SchmidtResult:
     basis_b[:, rank:] = 0.0
     result = SchmidtResult(s, u, basis_b)
     residual = float(np.linalg.norm(state.amplitudes - (u * s[np.newaxis, :]) @ basis_b.T))
-    if residual > 1e-10:
-        raise ValidationError(f"Schmidt reconstruction residual {residual:.3e} exceeds 1e-10")
+    if residual > RESIDUAL_TOL:
+        raise ValidationError(
+            f"Schmidt reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"
+        )
     return result
 
 
@@ -273,7 +259,7 @@ def schmidt_coefficients(state: BipartitePureState) -> np.ndarray:
 
 
 def schmidt_rank(coefficients: np.ndarray) -> int:
-    """The count of Schmidt coefficients above ``RANK_CUTOFF`` times the largest."""
+    """The count of Schmidt coefficients above ``linalg.RANK_CUTOFF`` times the largest."""
     return int(np.sum(coefficients > RANK_CUTOFF * coefficients[0]))
 
 
@@ -305,8 +291,9 @@ def schmidt_entropy(coefficients: np.ndarray) -> float:
     """Entropy of entanglement in nats, from the Schmidt coefficients.
 
     ``-sum p ln p`` over the squared coefficients, dropping probabilities
-    at or below 1e-15.  The result is never negative: a product state gives
-    ``+0.0``, also when its coefficient is a rounding step above 1.
+    at or below ``linalg.ENTROPY_CUTOFF``.  The result is never negative: a
+    product state gives ``+0.0``, also when its coefficient is a rounding
+    step above 1.
     """
     p = np.asarray(coefficients, dtype=np.float64) ** 2
     p = p[p > ENTROPY_CUTOFF]

@@ -27,6 +27,12 @@ from .errors import CapacityError, ValidationError
 
 __all__ = [
     "MAX_OPERATOR_DIM",
+    "ADMISSION_TOL",
+    "RESIDUAL_TOL",
+    "ROUNDING_ALLOWANCE",
+    "RANK_CUTOFF",
+    "ENTROPY_CUTOFF",
+    "PROBABILITY_SUM_TOL",
     "Operator",
     "EigResult",
     "dagger",
@@ -41,9 +47,6 @@ __all__ = [
 # Largest allowed side of a square operator.  Guardrail against memory
 # exhaustion; raise deliberately rather than let allocations fail.
 MAX_OPERATOR_DIM = 4096
-
-# Relative Hermiticity tolerance used by every precondition check.
-HERMITICITY_TOL = 1e-9
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -184,6 +187,51 @@ def describe_residual(residual: float, scale: float, bound: float | None = None)
     return text if bound is None else f"{text} exceeds {bound:.3e}"
 
 
+# -- the tolerance table ------------------------------------------------------
+# Every tolerance of the package, each defined once here: why it has its
+# value, and the layer that applies it.
+
+# Admission, the first layer: what a value may be off by and still enter.
+# Relative for Hermiticity (require_hermitian, through bound_exceeded);
+# absolute for a state's norm (BipartitePureState) and for a density
+# matrix's Hermiticity residual, trace and smallest eigenvalue
+# (DensityMatrix), objects of norm 1.  About 4.5 million units of 2**-52:
+# far above the rounding that sound input carries, far below a real defect.
+ADMISSION_TOL = 1e-9
+
+# Residual checks on results: schmidt_decompose's reconstruction of the
+# amplitudes (Frobenius) and the default of CLI --tol (verify, relative to
+# the observable; purify, absolute, plus the mass purify clips).  Ten times
+# tighter than admission, and over fifty times the largest reconstruction
+# residual measured (1.8e-12, see README), so a residual past it is a defect.
+RESIDUAL_TOL = 1e-10
+
+# Rounding allowed, on top of ADMISSION_TOL, to a normalization that a later
+# layer sums again in another order: the squared Schmidt coefficients of a
+# state (min(dim_a, dim_b) terms, bipartite._check_coefficients) or the
+# trace of a reduction (dim terms, DensityMatrix).  Neither sum has more
+# than MAX_OPERATOR_DIM terms, and each term carries a few units of 2**-52
+# from the factorization or the product that made it (at most 2.5
+# measured), so 4 units per term of the longest sum: about 3.6e-12, far
+# below the tolerances themselves.
+ROUNDING_ALLOWANCE = 4 * MAX_OPERATOR_DIM * 2.0**-52
+
+# Schmidt coefficients at or below this fraction of the largest one count
+# as zero in the rank (bipartite.schmidt_rank) and are dropped from the
+# reconstruction: at most MAX_OPERATOR_DIM of them add at most
+# sqrt(4096) * 1e-12 = 6.4e-11, inside RESIDUAL_TOL.
+RANK_CUTOFF = 1e-12
+
+# Probabilities at or below this are dropped from the entropy sum
+# (bipartite.schmidt_entropy, 0 ln 0 = 0): each would add under 3.5e-14 nats.
+ENTROPY_CUTOFF = 1e-15
+
+# Deviation from 1 allowed to the probability sum of a ThermalSpectrum
+# (thermal).  thermal._boltzmann divides the weights by their own float
+# sum, which leaves a few units of 2**-52, far below it.
+PROBABILITY_SUM_TOL = 1e-12
+
+
 def bound_exceeded(x: float, tol: float, op: Operator | None = None) -> float | None:
     """The bound ``tol * max(1, ||M||_F)`` of ``M = op.matrix`` if ``|x|`` exceeds it, else None.
 
@@ -225,14 +273,15 @@ def norm_deviation(a: np.ndarray) -> float:
 def require_hermitian(op: Operator, what: str = "operator") -> None:
     """Reject an operator whose Hermiticity residual exceeds the tolerance.
 
-    The bound is relative: ``||M - M^dagger||_F <= 1e-9 * max(1, ||M||_F)``,
+    The bound is relative:
+    ``||M - M^dagger||_F <= ADMISSION_TOL * max(1, ||M||_F)``,
     with both norms taken by :func:`scaled_hermiticity` and compared by
     :func:`bound_exceeded`, so neither overflows for entries near the float
     limit.  The norms are computed on the first call and kept on the
     instance; every call still raises with its own ``what``.
     """
     residual, _, scale = op._hermiticity
-    bound = bound_exceeded(residual * scale, HERMITICITY_TOL, op)
+    bound = bound_exceeded(residual * scale, ADMISSION_TOL, op)
     if bound is not None:
         raise ValidationError(
             f"{what} is not Hermitian: {describe_residual(residual, scale, bound)}"
@@ -249,7 +298,7 @@ def real_value(value: complex, op: Operator, what: str) -> float:
     """
     if not cmath.isfinite(value):
         raise ValidationError(f"{what} exceeds the float range")
-    if bound_exceeded(value.imag, HERMITICITY_TOL, op) is not None:
+    if bound_exceeded(value.imag, ADMISSION_TOL, op) is not None:
         raise ValidationError(f"{what} has imaginary residue {value.imag:.3e}")
     return value.real
 

@@ -64,6 +64,9 @@ def render_number(x) -> str:
 def render_number_array(values) -> str:
     """JSON array of numbers, each rendered as by :func:`render_number`.
 
+    ``values`` must be one-dimensional; any other shape raises
+    :class:`ValidationError`.
+
     The text is that of ``"%.17g" % (x + 0.0)`` for every element, byte for
     byte, written in blocks of ``_BLOCK`` numbers so that scratch memory
     stays O(block).  A block of zeros is written without formatting.  A
@@ -98,6 +101,8 @@ def render_number_array(values) -> str:
 def _array_pieces(values) -> list[str]:
     """The text of :func:`render_number_array` as pieces to be joined."""
     numbers = np.asarray(values, dtype=np.float64)
+    if numbers.ndim != 1:
+        raise ValidationError(f"expected a 1-D array of numbers, got ndim={numbers.ndim}")
     chunks = [_render_block(numbers[i : i + _BLOCK]) for i in range(0, numbers.size, _BLOCK)]
     if chunks:
         chunks[-1] = chunks[-1][:-2]  # the last ", "

@@ -20,7 +20,15 @@ import numpy as np
 from . import bipartite
 from .bipartite import BipartitePureState, DensityMatrix
 from .errors import ValidationError
-from .linalg import EigResult, Operator, dagger, hermitian_eig, real_value, require_hermitian
+from .linalg import (
+    PROBABILITY_SUM_TOL,
+    EigResult,
+    Operator,
+    dagger,
+    hermitian_eig,
+    real_value,
+    require_hermitian,
+)
 
 __all__ = [
     "ThermalSpectrum",
@@ -41,7 +49,8 @@ class ThermalSpectrum:
     ``energies`` ascend; ``probabilities[n]`` is the Boltzmann weight of
     the n-th eigenstate (degenerate levels contribute one entry per
     eigenstate).  ``log_partition`` is the log of the full partition sum.
-    Every value must be finite.
+    Every value must be finite, and the probabilities must sum to 1 within
+    ``linalg.PROBABILITY_SUM_TOL``.
     """
 
     beta: float
@@ -61,7 +70,7 @@ class ThermalSpectrum:
         if np.any(p < 0.0):
             raise ValidationError("probabilities must be nonnegative")
         dev = abs(float(np.sum(p)) - 1.0)
-        if dev > 1e-12:
+        if dev > PROBABILITY_SUM_TOL:
             raise ValidationError(f"probabilities must sum to 1, deviation {dev:.3e}")
 
 
@@ -203,9 +212,10 @@ def verify_betas(
     amplitude double sum of :func:`bipartite.expectation` (one ``F @ a``
     product).  The two sides share only the diagonalization of the
     Hamiltonian, which is cached on it.  They agree within
-    ``1e-10 * max(1, ||F||_2)``, the bound the tests hold them to; a larger
-    residual is a defect, so the report carries it rather than raising.
-    CLI ``verify`` holds the worst residual to ``--tol * max(1, ||F||_F)``
+    ``linalg.RESIDUAL_TOL * max(1, ||F||_2)``, the bound the tests hold
+    them to; a larger residual is a defect, so the report carries it rather
+    than raising.  CLI ``verify`` holds the worst residual to
+    ``--tol * max(1, ||F||_F)`` (``--tol`` defaults to ``RESIDUAL_TOL``)
     with :func:`linalg.bound_exceeded`; the Frobenius norm is at least the
     spectral one.  Each side is the real part of a quadratic form of ``F``,
     whose imaginary residue :func:`linalg.real_value` holds to the bound

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import oracles
 from thermofield import bipartite
 from thermofield.bipartite import (
-    NORM_TOL,
     BipartitePureState,
     DensityMatrix,
     SchmidtResult,
@@ -29,7 +28,7 @@ from thermofield.bipartite import (
     schmidt_rank,
 )
 from thermofield.errors import CapacityError, ValidationError
-from thermofield.linalg import Operator, dagger
+from thermofield.linalg import ADMISSION_TOL, Operator, dagger
 from thermofield.models import (
     build_ising,
     build_model,
@@ -361,7 +360,7 @@ class TestSchmidtCoefficients:
         assert_same_spectrum(schmidt_coefficients(state), schmidt_decompose(state))
 
     def test_rejects_sum_off_one(self, monkeypatch):
-        # an admitted state's squares sum to 1 within NORM_TOL; the check is shared
+        # an admitted state's squares sum to 1 within ADMISSION_TOL; the check is shared
         monkeypatch.setattr(bipartite, "singular_values", lambda a: np.array([1.0, 0.1]))
         with pytest.raises(ValidationError, match="must sum to 1"):
             schmidt_coefficients(bell_state())
@@ -431,7 +430,7 @@ def near_bound_amplitudes(draw):
     """Amplitudes of sides 1..8, real or complex, entries spread over 1e-8..1.
 
     The squared norm is off from 1 by 0.999e-9 to 1e-9, either way, so
-    admission's own sum lands on both sides of ``NORM_TOL``.
+    admission's own sum lands on both sides of ``ADMISSION_TOL``.
     """
     shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**62)))
@@ -449,7 +448,7 @@ class TestAdmittedIsAccepted:
 
     The chain is admission, ``schmidt_decompose`` and
     ``schmidt_coefficients``, then ``dump_state`` and ``load_state``; the
-    norm may be off by up to 0.99 ``NORM_TOL``.  At the bound itself, every
+    norm may be off by up to 0.99 ``ADMISSION_TOL``.  At the bound itself, every
     step that sums the normalization again accepts the state too.
     """
 
@@ -512,7 +511,7 @@ class TestAdmittedIsAccepted:
         g = random_complex_matrix(dim_a, rank, seed) @ random_complex_matrix(rank, dim_b, seed + 1)
         state = BipartitePureState(g * (math.sqrt(1.0 + deviation) / np.linalg.norm(g)))
         result = schmidt_decompose(state)
-        assert abs(float(np.sum(result.coefficients**2)) - 1.0) <= NORM_TOL
+        assert abs(float(np.sum(result.coefficients**2)) - 1.0) <= ADMISSION_TOL
         again = load_state(dump_state(state))
         assert again.amplitudes.tobytes() == state.amplitudes.tobytes()
         assert schmidt_decompose(again).coefficients.tobytes() == result.coefficients.tobytes()
@@ -577,7 +576,7 @@ class TestAdmittedIsFactorized:
             with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
                 try:
                     purify(rho)
-                except ValidationError as exc:  # clipping lifts the norm past NORM_TOL
+                except ValidationError as exc:  # clipping lifts the norm past ADMISSION_TOL
                     assert str(exc).startswith("state is not normalized"), exc
             assert eigh.call_count == 0
 

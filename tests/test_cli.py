@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from thermofield import cli
@@ -369,6 +373,39 @@ class TestPurify:
             written[output_format] = out.read_bytes()
         assert written["csv"] == written["json"]
         assert len(dumps) == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(min_value=2, max_value=16),
+        negatives=st.lists(st.floats(-1.3e-9, -0.7e-9), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**62),
+        real=st.booleans(),
+    )
+    def test_property_admitted_and_purified_exits_zero(
+        self, d, negatives, seed, real, tmp_path_factory
+    ):
+        # unit-trace spectra with 1-3 eigenvalues just below zero, in a random
+        # basis: admission rejects some (below -1e-9), purify rejects some
+        # (clipping lifts the norm past 1e-9); every other file exits 0,
+        # since clipping moves rho by at most the mass it clips
+        negatives = negatives[: d - 1]
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.05, 1.0, d - len(negatives))
+        spectrum = np.concatenate([negatives, weights * ((1.0 - sum(negatives)) / weights.sum())])
+        g = random_complex_matrix(d, d, seed)
+        q = np.linalg.qr(g.real if real else g)[0]
+        m = (q * spectrum[np.newaxis, :]) @ dagger(q)
+        path = tmp_path_factory.getbasetemp() / "clipped.json"
+        path.write_text(dump_matrix((m + dagger(m)) / 2.0))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["purify", str(path), "--format", "csv"])
+        err = err.getvalue()
+        if code == 2:
+            rejections = ("error: density matrix is not positive", "error: state is not normalized")
+            assert err.startswith(rejections), err
+            return
+        assert (code, err) == (0, "")
 
     def test_invalid_density_named_invariant(self, tmp_path):
         path = tmp_path / "rho.json"

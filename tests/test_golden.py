@@ -7,8 +7,9 @@ stderr and the exit code with files under ``tests/golden/``:
 * ``inputs/``: observable files, a Gibbs density file, a non-square
   matrix, a diagonal matrix whose trace is past the float range, a state
   whose norm is off by 5e-10 (within admission), one admitted at the norm
-  bound (deviation 0.99999997e-9) and the state files that
-  ``tfd --emit-state`` writes;
+  bound (deviation 0.99999997e-9), a diagonal density matrix with an
+  eigenvalue of -0.8e-9 (admitted, and clipped by ``purify``) and the state
+  files that ``tfd --emit-state`` writes;
 * ``stdout/<case>``: the expected stdout bytes of each case that prints;
 * ``written/``: the files that ``--emit-state`` and ``--out`` write;
 * ``expected.json``: the exit code and stderr text of every case.
@@ -107,6 +108,10 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
     for fmt in ("json", "csv"):
         cases[f"schmidt_state.{fmt}"] = (["schmidt", "inputs/state.json", "--format", fmt], True)
         cases[f"purify_gibbs.{fmt}"] = (["purify", "inputs/gibbs.json", "--format", fmt], True)
+        # the round trip misses rho by the clipped mass, within --tol plus it
+        cases[f"purify_clipped.{fmt}"] = (
+            ["purify", "inputs/clipped.json", "--format", fmt], True
+        )
     for name, model in COLD.items():
         emit = ["--emit-state", f"{name}_state.json"]
         cases[f"tfd_{name}.json"] = (["tfd", "--model", model, "--beta", "1e4", *emit], False)
@@ -395,6 +400,7 @@ def write_missing_golden() -> None:
     oscillator = models.build_oscillator(0.75, 6)
     gibbs = thermal.gibbs_density(oscillator, 0.8).matrix
     files[inputs / "gibbs.json"] = serialize.dump_matrix(gibbs)
+    files[inputs / "clipped.json"] = serialize.dump_matrix(np.diag([0.6 + 0.8e-9, 0.4, -0.8e-9]))
     off_norm = np.diag([math.sqrt(0.7 + 5e-10), math.sqrt(0.3)])
     files[inputs / "state_off_norm.json"] = serialize.dump_state(BipartitePureState(off_norm))
     near_bound = np.diag(

@@ -1,5 +1,7 @@
+import io
 import pathlib
 import re
+import tokenize
 import tracemalloc
 
 import numpy as np
@@ -212,6 +214,29 @@ def test_bound_rule_only_in_linalg():
             assert "1.0 / scale" not in text, path.name
         assert not re.search(r"\.imag\)? > \d", text), path.name
     assert "_hermiticity" not in (src / "cli.py").read_text()
+
+
+def test_tolerance_table_values():
+    # the values every message and exit code depends on, bit for bit
+    assert linalg.ADMISSION_TOL == 1e-9
+    assert linalg.RESIDUAL_TOL == 1e-10
+    assert linalg.ROUNDING_ALLOWANCE == 4 * 4096 * 2.0**-52
+    assert linalg.RANK_CUTOFF == 1e-12
+    assert linalg.ENTROPY_CUTOFF == 1e-15
+    assert linalg.PROBABILITY_SUM_TOL == 1e-12
+
+
+def test_tolerances_only_in_linalg():
+    # the layers that apply a tolerance import it from the table: their code,
+    # docstrings and comments aside, holds no tolerance literal
+    src = pathlib.Path(linalg.__file__).parent
+    values = {1e-9, 1e-10, 1e-12, 1e-15}
+    for name in ("bipartite.py", "thermal.py", "cli.py"):
+        tokens = list(tokenize.generate_tokens(io.StringIO((src / name).read_text()).readline))
+        numbers = [float(t.string) for t in tokens if t.type == tokenize.NUMBER]
+        assert values.isdisjoint(numbers), name
+        text = (t.string for t in tokens if t.type not in (tokenize.STRING, tokenize.COMMENT))
+        assert not re.search(r"\*\* -? ?52\b", " ".join(text)), name
 
 
 def test_factorizations_only_in_linalg():

@@ -211,6 +211,18 @@ class TestRenderArray:
             assert text.endswith(f'"schmidt_coefficients": {per_entry(coefficients)}}}')
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "values,ndim",
+        [(np.array(0.5), 0), (np.array([[0.5, 1.0], [2.0, 3.0]]), 2), (np.zeros((2, 2)), 2)],
+    )
+    def test_not_one_dimensional_rejected(self, values, ndim):
+        # before: IndexError for 0-d, ValueError for 2-D, and 2-D zeros written flat
+        match = f"^expected a 1-D array of numbers, got ndim={ndim}$"
+        with pytest.raises(ValidationError, match=match):
+            render_number_array(values)
+        with pytest.raises(ValidationError, match=match):
+            render_object([("re", values)])
+
 
 class TestMatrixFormat:
     def test_round_trip_bit_exact(self):

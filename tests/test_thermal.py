@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 import oracles
 import thermofield
 from thermofield.bipartite import (
-    RANK_CUTOFF,
     entanglement_entropy,
     reduced_density,
     schmidt_decompose,
     schmidt_entropy,
 )
 from thermofield.errors import ValidationError
-from thermofield.linalg import Operator, dagger, hermitian_eig, require_hermitian
+from thermofield.linalg import RANK_CUTOFF, Operator, dagger, hermitian_eig, require_hermitian
 from thermofield.models import (
     build_ising,
     build_random_hermitian,
