@@ -3,8 +3,8 @@
 One executable with five subcommands (``spectrum``, ``verify``, ``tfd``,
 ``purify``, ``schmidt``).  Data goes to stdout or ``--out``; diagnostics go
 to stderr.  Exit codes: 0 success, 1 a residual exceeded the tolerance,
-2 bad input, config, or I/O.  Output for a fixed config is byte-identical
-across runs.
+2 bad input, config, or I/O, a failed write to stdout included.  Output for
+a fixed config is byte-identical across runs.
 Each command returns its records, and :func:`_render` writes them in the
 chosen format.
 """
@@ -12,7 +12,9 @@ chosen format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -37,26 +39,31 @@ def _read_file(path: str) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _write_text(path: str, *texts: str) -> None:
+def _write(path: str | None, *texts: str) -> None:
+    """Write the texts to the file at ``path``, or to stdout when it is None."""
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(texts)
+        if path is None:
+            sys.stdout.writelines(texts)  # looked up here, so a redirect is honoured
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(texts)
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+        if path is None:
+            # fd 1 goes to the null device, so the flush at exit cannot fail again
+            with contextlib.suppress(OSError, ValueError):  # an in-memory stream has no fd
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        raise ValidationError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
-def _load_model(arg: str, seed_override: int | None) -> models.ModelSpec:
+def _load_model(arg: str) -> models.ModelSpec:
     """Accept inline JSON (leading '{') or a path to a model file."""
     # a byte-order mark is kept, so the JSON parser rejects it as in a file
     text = arg if arg.lstrip().lstrip("\ufeff").startswith("{") else _read_file(arg)
-    obj = serialize.parse_json(text, "model JSON")
-    if seed_override is not None:
-        if not isinstance(obj, dict) or obj.get("kind") != "random_hermitian":
-            raise ValidationError("--seed only applies to the random_hermitian model")
-        params = obj.get("params")
-        if isinstance(params, dict):
-            params["seed"] = seed_override
-    return models.parse_model_spec(obj)
+    return models.parse_model_spec(serialize.parse_json(text, "model JSON"))
 
 
 def _resolve_observable(arg: str, hamiltonian: Operator) -> Operator:
@@ -156,7 +163,7 @@ def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:
             ]
         )
         if args.emit_state is not None:
-            _write_text(args.emit_state, serialize.dump_state(state), "\n")
+            _write(args.emit_state, serialize.dump_state(state), "\n")
     return records, None
 
 
@@ -179,7 +186,7 @@ def cmd_purify(args: argparse.Namespace) -> tuple[list, str | None]:
         state_json = serialize.dump_state(state)
         record.append(("state", None, state_json))
         if args.emit_state is not None:
-            _write_text(args.emit_state, state_json, "\n")
+            _write(args.emit_state, state_json, "\n")
     return [record], _over_tolerance("round-trip", residual, args.tolerance + clipped)
 
 
@@ -194,15 +201,6 @@ def cmd_schmidt(args: argparse.Namespace) -> tuple[list, str | None]:
     return [record], None
 
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
-    "tfd": cmd_tfd,
-    "purify": cmd_purify,
-    "schmidt": cmd_schmidt,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermofield",
@@ -210,42 +208,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, model: bool, betas: bool):
+    def add_command(name, run, help, *, model=False, betas=False, tol=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         if model:
             p.add_argument("--model", required=True, help="model file path or inline JSON")
-            p.add_argument("--seed", type=int, default=None, help="seed override for random models")
         if betas:
             p.add_argument("--beta", required=True, help="comma-separated inverse temperatures")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         p.add_argument("--out", default=None, dest="output_path", help="output path (default stdout)")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=RESIDUAL_TOL,
-            dest="tolerance",
-            help="residual tolerance; verify's is relative to max(1, ||F||_F) of the observable",
-        )
+        if tol:
+            p.add_argument(
+                "--tol",
+                type=float,
+                default=RESIDUAL_TOL,
+                dest="tolerance",
+                help="residual tolerance; verify's is relative to max(1, ||F||_F) of the observable",
+            )
+        return p
 
-    p = sub.add_parser("spectrum", help="eigenvalues of a model Hamiltonian")
-    add_common(p, model=True, betas=False)
-
-    p = sub.add_parser("verify", help="ensemble average vs doubled-space expectation")
-    add_common(p, model=True, betas=True)
+    add_command("spectrum", cmd_spectrum, "eigenvalues of a model Hamiltonian", model=True)
+    p = add_command(
+        "verify", cmd_verify, "ensemble average vs doubled-space expectation",
+        model=True, betas=True, tol=True,
+    )
     p.add_argument("--observable", default="identity", help="observable name or matrix file")
-
-    p = sub.add_parser("tfd", help="doubled-state Schmidt spectrum and entropy")
-    add_common(p, model=True, betas=True)
+    p = add_command(
+        "tfd", cmd_tfd, "doubled-state Schmidt spectrum and entropy", model=True, betas=True
+    )
     p.add_argument("--emit-state", default=None, dest="emit_state", help="write the state file")
-
-    p = sub.add_parser("purify", help="purify a density-matrix file")
+    p = add_command("purify", cmd_purify, "purify a density-matrix file", tol=True)
     p.add_argument("density", help="density-matrix file (shared matrix format)")
-    add_common(p, model=False, betas=False)
     p.add_argument("--emit-state", default=None, dest="emit_state", help="write the state file")
-
-    p = sub.add_parser("schmidt", help="Schmidt spectrum of a state file")
+    p = add_command("schmidt", cmd_schmidt, "Schmidt spectrum of a state file")
     p.add_argument("state", help="state file path")
-    add_common(p, model=False, betas=False)
-
     return parser
 
 
@@ -253,19 +249,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if hasattr(args, "model"):
-            args.model = _load_model(args.model, args.seed)
+            args.model = _load_model(args.model)
         if hasattr(args, "beta"):
             args.beta = _parse_betas(args.beta)
-        _check_nonnegative("tolerance", args.tolerance)
+        if hasattr(args, "tolerance"):
+            _check_nonnegative("tolerance", args.tolerance)
         for beta in getattr(args, "beta", ()):
             _check_nonnegative("beta values", beta)
-        records, failure = _COMMANDS[args.command](args)
+        records, failure = args.run(args)
         # a command over a beta list writes one record per beta, as a JSON array
         text = _render(records, args.output_format, hasattr(args, "beta"))
-        if args.output_path is not None:
-            _write_text(args.output_path, text, "\n")
-        else:
-            print(text)
+        _write(args.output_path, text, "\n")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

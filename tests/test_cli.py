@@ -1,7 +1,10 @@
+import argparse
 import contextlib
+import fcntl
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -20,6 +23,14 @@ from thermofield.serialize import dump_matrix, load_matrix, render_number
 TWO_LEVEL = '{"kind": "two_level", "params": {"gap": 1.0}}'
 RANDOM_5 = '{"kind": "random_hermitian", "params": {"dim": 5, "seed": 1}}'
 HUGE_ISING = '{"kind": "ising", "params": {"n": 2, "j": 1e308, "h": 1e308}}'
+# each command with the arguments it requires
+COMMAND_ARGV = {
+    "spectrum": ["spectrum", "--model", TWO_LEVEL],
+    "verify": ["verify", "--model", TWO_LEVEL, "--beta", "1"],
+    "tfd": ["tfd", "--model", TWO_LEVEL, "--beta", "1"],
+    "purify": ["purify", "rho.json"],
+    "schmidt": ["schmidt", "state.json"],
+}
 
 
 def run_cli(*args, **kwargs):
@@ -492,17 +503,68 @@ class TestPlumbing:
         proc = run_cli("spectrum", "--model", '{"kind": "bogus", "params": {}}')
         assert proc.returncode == 2
 
-    def test_seed_override(self):
-        base = '{"kind": "random_hermitian", "params": {"dim": 4, "seed": 1}}'
-        overridden = run_cli("spectrum", "--model", base, "--seed", "9")
-        direct = run_cli("spectrum", "--model", '{"kind": "random_hermitian", "params": {"dim": 4, "seed": 9}}')
-        assert overridden.stdout == direct.stdout
-        assert overridden.stdout != run_cli("spectrum", "--model", base).stdout
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            *[(name, "--seed") for name in COMMAND_ARGV],
+            *[(name, "--tol") for name in ("spectrum", "tfd", "schmidt")],
+        ],
+    )
+    def test_unread_option_is_usage_error(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*COMMAND_ARGV[command], option, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
 
-    def test_seed_override_rejected_for_fixed_models(self):
-        proc = run_cli("spectrum", "--model", TWO_LEVEL, "--seed", "3")
+    def test_each_command_declares_only_the_options_it_reads(self):
+        (commands,) = [
+            action.choices
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = {
+            name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+            for name, p in commands.items()
+        }
+        assert options == {
+            "spectrum": {"--model", "--format", "--out"},
+            "verify": {"--model", "--beta", "--format", "--out", "--tol", "--observable"},
+            "tfd": {"--model", "--beta", "--format", "--out", "--emit-state"},
+            "purify": {"--format", "--out", "--tol", "--emit-state"},
+            "schmidt": {"--format", "--out"},
+        }
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_full_device(self):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "thermofield", "spectrum", "--model", TWO_LEVEL],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
         assert proc.returncode == 2
-        assert "random_hermitian" in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: cannot write stdout")
+
+    def test_stdout_pipe_closed_after_first_bytes(self):
+        read_end, write_end = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # one page, far below the 135 kB document
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        model = '{"kind": "oscillator", "params": {"omega": 0.1, "cutoff": 4096}}'
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "thermofield", "spectrum", "--model", model, "--format", "csv"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        os.close(write_end)
+        assert os.read(read_end, 20) == b"beta,quantity,value\n"
+        os.close(read_end)
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        (line,) = stderr.splitlines()
+        assert line.startswith("error: cannot write stdout")
 
     def test_usage_error_exit_two(self):
         proc = run_cli("verify", "--model", TWO_LEVEL)  # missing --beta

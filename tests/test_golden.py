@@ -153,8 +153,9 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
                 ["spectrum", "--model", model_json("oscillator", omega=3.0, cutoff=6)],
                 True,
             ),
+            # the random model at a seed other than its model file's, set inline
             "spectrum_seed_override.json": (
-                ["spectrum", "--model", "models/random_hermitian.json", "--seed", "7"],
+                ["spectrum", "--model", model_json("random_hermitian", dim=16, seed=7)],
                 False,
             ),
         }
@@ -204,7 +205,6 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
         "observable_dim_mismatch": [
             "verify", "--model", TWO_LEVEL, "--beta", "1", "--observable", "inputs/observable16.json",
         ],
-        "seed_on_fixed_model": [*spectrum("models/two_level.json"), "--seed", "3"],
         "emit_state_many_betas": [
             "tfd", "--model", TWO_LEVEL, "--beta", "0,1", "--emit-state", "x.json",
         ],
