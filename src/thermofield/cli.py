@@ -50,13 +50,26 @@ def _write(path: str | None, *texts: str) -> None:
                 f.writelines(texts)
     except OSError as exc:
         if path is None:
-            # fd 1 goes to the null device, so the flush at exit cannot fail again
-            with contextlib.suppress(OSError, ValueError):  # an in-memory stream has no fd
-                fd = sys.stdout.fileno()
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, fd)
-                os.close(devnull)
+            _silence(sys.stdout)
         raise ValidationError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
+
+
+def _silence(stream) -> None:
+    """Point a failed stream's file descriptor at the null device, so the
+    flush at exit cannot fail again and change the exit code."""
+    with contextlib.suppress(OSError, ValueError):  # an in-memory stream has no fd
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
+def _diagnose(line: str) -> None:
+    """Print a line to stderr; when stderr is unwritable the line is lost, not the exit code."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _silence(sys.stderr)
 
 
 def _load_model(arg: str) -> models.ModelSpec:
@@ -261,11 +274,11 @@ def main(argv: list[str] | None = None) -> int:
         text = _render(records, args.output_format, hasattr(args, "beta"))
         _write(args.output_path, text, "\n")
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return 2
     if failure is None:
         return 0
-    print(failure, file=sys.stderr)
+    _diagnose(failure)
     return 1
 
 

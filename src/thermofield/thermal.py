@@ -227,7 +227,9 @@ def verify_betas(
     expansion ``sum_n sqrt(p_n) |n> (x) |e_n>``, with the coordinate (tilde)
     basis as the surroundings basis, so the coefficients are the
     square-root probabilities sorted descending.  CLI ``tfd`` and
-    ``schmidt`` measure the spectrum as singular values instead.
+    ``schmidt`` read the amplitudes alone instead:
+    :func:`linalg.singular_values` certifies this form and takes the column
+    norms, so they need no SVD either.
     """
     _check_dims(hamiltonian, observable)
     betas = [_check_beta(beta) for beta in betas]

@@ -360,10 +360,11 @@ class TestSchmidtCoefficients:
         assert_same_spectrum(schmidt_coefficients(state), schmidt_decompose(state))
 
     def test_rejects_sum_off_one(self, monkeypatch):
-        # an admitted state's squares sum to 1 within ADMISSION_TOL; the check is shared
-        monkeypatch.setattr(bipartite, "singular_values", lambda a: np.array([1.0, 0.1]))
+        # an admitted state's squares sum to 1 within ADMISSION_TOL; the check
+        # is shared, so it also holds the SVD a generic state falls back to
+        monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1.0, 0.1]))
         with pytest.raises(ValidationError, match="must sum to 1"):
-            schmidt_coefficients(bell_state())
+            schmidt_coefficients(random_bipartite_state(2, 2, 5))
 
 
 class TestPurify:

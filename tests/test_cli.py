@@ -17,11 +17,12 @@ import oracles
 from thermofield import cli
 from thermofield.bipartite import DensityMatrix, purify, reduced_density
 from thermofield.linalg import Operator, dagger
-from thermofield.models import random_complex_matrix
-from thermofield.serialize import dump_matrix, load_matrix, render_number
+from thermofield.models import random_bipartite_state, random_complex_matrix
+from thermofield.serialize import dump_matrix, dump_state, load_matrix, render_number
 
 TWO_LEVEL = '{"kind": "two_level", "params": {"gap": 1.0}}'
 RANDOM_5 = '{"kind": "random_hermitian", "params": {"dim": 5, "seed": 1}}'
+HUGE_OSCILLATOR = '{"kind": "oscillator", "params": {"omega": 1e300, "cutoff": 3}}'
 HUGE_ISING = '{"kind": "ising", "params": {"n": 2, "j": 1e308, "h": 1e308}}'
 # each command with the arguments it requires
 COMMAND_ARGV = {
@@ -274,22 +275,31 @@ class TestTfd:
         assert loaded["entropy"] == entry["entropy"]
 
     def test_one_svd_per_schmidt_report(self, monkeypatch, capsys, tmp_path):
+        # a thermal double is in Schmidt form, certified without an SVD; a
+        # generic state takes one
         state_path = tmp_path / "state.json"
+        generic_path = tmp_path / "generic.json"
+        generic_path.write_text(dump_state(random_bipartite_state(5, 3, 4)))
         svd = count_calls(monkeypatch, np.linalg, "svd")
         args = ["tfd", "--model", RANDOM_5, "--beta", "1.25", "--emit-state", str(state_path)]
         assert cli.main(args) == 0
-        assert len(svd) == 1
         assert cli.main(["schmidt", str(state_path)]) == 0
-        assert len(svd) == 2
+        assert len(svd) == 0
+        assert cli.main(["schmidt", str(generic_path)]) == 0
+        assert len(svd) == 1
 
     def test_singular_values_without_vectors(self, monkeypatch, capsys, tmp_path):
         state_path = tmp_path / "state.json"
+        generic_path = tmp_path / "generic.json"
+        generic_path.write_text(dump_state(random_bipartite_state(5, 3, 4)))
         svd = count_calls(monkeypatch, np.linalg, "svd")
         assert cli.main(["tfd", "--model", RANDOM_5, "--beta", "0,1.25", "--format", "csv"]) == 0
         args = ["tfd", "--model", RANDOM_5, "--beta", "1.25", "--emit-state", str(state_path)]
         assert cli.main(args) == 0
         assert cli.main(["schmidt", str(state_path)]) == 0
-        assert [call.get("compute_uv") for call in svd] == [False] * 4
+        assert svd == []
+        assert cli.main(["schmidt", str(generic_path)]) == 0
+        assert [call.get("compute_uv") for call in svd] == [False]
 
     @pytest.mark.parametrize("beta", ["0", "1", "1e4"])
     def test_schmidt_repeats_tfd_bytes(self, beta, capsys, tmp_path):
@@ -546,6 +556,26 @@ class TestPlumbing:
         assert proc.returncode == 2
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: cannot write stdout")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv, stdout_full, code",
+        [
+            (["spectrum", "--model", '{"kind": "x"}'], False, 2),
+            (["spectrum", "--model", TWO_LEVEL], True, 2),
+            (["verify", "--model", HUGE_OSCILLATOR, "--observable", "energy", "--beta", "0",
+              "--tol", "1e-30"], False, 1),
+        ],
+        ids=["bad_input", "stdout_full_too", "residual_over_tol"],
+    )
+    def test_unwritable_stderr_keeps_exit_code(self, argv, stdout_full, code):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "thermofield", *argv],
+                stdout=full if stdout_full else subprocess.DEVNULL,
+                stderr=full,
+            )
+        assert proc.returncode == code
 
     def test_stdout_pipe_closed_after_first_bytes(self):
         read_end, write_end = os.pipe()

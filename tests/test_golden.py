@@ -8,8 +8,9 @@ stderr and the exit code with files under ``tests/golden/``:
   matrix, a diagonal matrix whose trace is past the float range, a state
   whose norm is off by 5e-10 (within admission), one admitted at the norm
   bound (deviation 0.99999997e-9), a diagonal density matrix with an
-  eigenvalue of -0.8e-9 (admitted, and clipped by ``purify``) and the state
-  files that ``tfd --emit-state`` writes;
+  eigenvalue of -0.8e-9 (admitted, and clipped by ``purify``), a generic
+  5 x 3 state (not in Schmidt form, so ``schmidt`` takes the SVD) and the
+  state files that ``tfd --emit-state`` writes;
 * ``stdout/<case>``: the expected stdout bytes of each case that prints;
 * ``written/``: the files that ``--emit-state`` and ``--out`` write;
 * ``expected.json``: the exit code and stderr text of every case.
@@ -129,6 +130,11 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
         # admitted, though its Schmidt squares miss 1 by a rounding step past 1e-9
         cases[f"schmidt_state_near_bound.{fmt}"] = (
             ["schmidt", "inputs/state_near_bound.json", "--format", fmt], True
+        )
+        # a generic 5 x 3 state: not in biorthogonal form, so its
+        # coefficients come from the SVD
+        cases[f"schmidt_random.{fmt}"] = (
+            ["schmidt", "inputs/random_state.json", "--format", fmt], False
         )
     cases.update(
         {
@@ -407,6 +413,7 @@ def write_missing_golden() -> None:
         [0.5616013865654373, 0.5801106380621368, 0.5489479561099015, 0.2161750926857217]
     )
     files[inputs / "state_near_bound.json"] = serialize.dump_state(BipartitePureState(near_bound))
+    files[inputs / "random_state.json"] = serialize.dump_state(models.random_bipartite_state(5, 3, 11))
     for path, text in files.items():
         path.parent.mkdir(exist_ok=True)
         if not path.exists():

@@ -3,11 +3,15 @@ import pathlib
 import re
 import tokenize
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofield import linalg
+from thermofield.bipartite import DensityMatrix, purify
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import (
     Operator,
@@ -17,9 +21,11 @@ from thermofield.linalg import (
     hermiticity_residual,
     real_value,
     require_hermitian,
+    singular_values,
     svd,
 )
-from thermofield.models import build_random_hermitian, random_complex_matrix
+from thermofield.models import build_ising, build_random_hermitian, random_complex_matrix
+from thermofield.thermal import thermofield_double
 
 
 class TestOperator:
@@ -368,3 +374,100 @@ class TestSvd:
         eig = hermitian_eig(Operator(psd))
         _, s, _ = svd(psd)
         np.testing.assert_allclose(s, eig.eigenvalues[::-1], atol=1e-10)
+
+
+NUMPY_SVD = np.linalg.svd
+
+
+def assert_golden_close(got: np.ndarray, want: np.ndarray) -> None:
+    """Within 1e-12 relative, floor 1e-12 times the largest: the golden tolerance."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), want[0]))
+
+
+@st.composite
+def schmidt_form_states(draw):
+    """A thermal double or a purification: amplitudes ``V diag(sqrt p)``."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["random_hermitian", "ising", "purification"]))
+    if kind == "purification":
+        dim = draw(st.integers(1, 32))
+        g = random_complex_matrix(dim, draw(st.integers(1, dim)), seed)
+        raw = g @ dagger(g)
+        return purify(DensityMatrix(Operator(raw / np.trace(raw).real))).amplitudes
+    if kind == "ising":
+        j, h = draw(st.floats(-2.0, 2.0)), draw(st.sampled_from([0.0, 0.3, 1.1]))
+        hamiltonian = build_ising(draw(st.integers(1, 6)), j, h)
+    else:  # build_random_hermitian's matrix, here also at dim 1
+        dim = draw(st.integers(1, 48))
+        g = random_complex_matrix(dim, dim, seed)
+        hamiltonian = Operator((g + dagger(g)) / 2.0)
+    beta = draw(st.one_of(st.sampled_from([0.0, 1e4]), st.floats(-3.0, 4.0).map(lambda x: 10**x)))
+    return thermofield_double(hamiltonian, beta).amplitudes
+
+
+class TestSingularValuesCertificate:
+    """``singular_values`` takes the column norms of a state in Schmidt form.
+
+    Any other matrix goes to one LAPACK SVD without vectors; either way the
+    values agree with numpy's within the golden tolerance.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(a=schmidt_form_states(), seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_numpy(self, a, seed):
+        want = NUMPY_SVD(a, compute_uv=False)
+        with mock.patch.object(np.linalg, "svd", wraps=NUMPY_SVD) as lapack:
+            got = singular_values(a)
+        assert lapack.call_count == 0
+        assert_golden_close(got, want)
+
+        # a unitary on the surroundings keeps the values and, unless all the
+        # weights are equal, breaks the column orthogonality
+        q, _ = np.linalg.qr(random_complex_matrix(a.shape[1], a.shape[1], seed))
+        rotated = a @ q
+        with mock.patch.object(np.linalg, "svd", wraps=NUMPY_SVD) as lapack:
+            got = singular_values(rotated)
+        if want[0] - want[-1] > 1e-3 * want[0]:
+            assert lapack.call_count == 1
+            assert lapack.call_args.kwargs == {"compute_uv": False}
+        assert_golden_close(got, NUMPY_SVD(rotated, compute_uv=False))
+
+    @pytest.mark.parametrize("delta, calls", [(0.6e-10, 0), (0.8e-10, 1)])
+    @pytest.mark.parametrize("column", [1, 70], ids=["same_block", "later_block"])
+    def test_bound_is_frobenius_residual_tol(self, delta, calls, column):
+        # tilting one column by delta towards the first puts delta twice off
+        # the diagonal of the normalized Gram matrix: ||G - I||_F = sqrt(2) delta
+        a = thermofield_double(build_random_hermitian(80, 5), 0.5).amplitudes.copy()
+        tilt = np.linalg.norm(a[:, column]) / np.linalg.norm(a[:, 0])
+        a[:, column] += delta * tilt * a[:, 0]
+        want = NUMPY_SVD(a, compute_uv=False)
+        with mock.patch.object(np.linalg, "svd", wraps=NUMPY_SVD) as lapack:
+            got = singular_values(a)
+        assert lapack.call_count == calls
+        # accepted, each value is within relative ||E||_2 of the column norm
+        np.testing.assert_allclose(got, want, rtol=linalg.RESIDUAL_TOL, atol=0.0)
+
+    def test_zero_columns_dropped_and_padded(self):
+        a = np.zeros((4, 6))
+        a[2, 4], a[0, 1] = -0.6, 0.8
+        got = singular_values(a)
+        assert got.tobytes() == np.array([0.8, 0.6, 0.0, 0.0]).tobytes()
+        assert singular_values(np.zeros((3, 2))).tobytes() == np.zeros(2).tobytes()
+
+    def test_norms_past_the_square_range(self):
+        # squares of these entries underflow or overflow; their norms do not
+        a = np.zeros((6, 4))
+        a[0, 0], a[1, 1], a[2:4, 2], a[4:, 3] = 0.8, 0.6, [3e-200, 4e-200], [6e200, 8e200]
+        with mock.patch.object(np.linalg, "svd", wraps=NUMPY_SVD) as lapack:
+            got = singular_values(a)
+        assert lapack.call_count == 0
+        np.testing.assert_allclose(got, [1e201, 0.8, 0.6, 5e-200], rtol=1e-15, atol=0.0)
+
+    def test_more_columns_than_rows_take_the_svd(self):
+        a = np.eye(2, 3)
+        a[1, 2] = 0.5
+        with mock.patch.object(np.linalg, "svd", wraps=NUMPY_SVD) as lapack:
+            got = singular_values(a)
+        assert lapack.call_count == 1
+        assert got.tobytes() == NUMPY_SVD(a, compute_uv=False).tobytes()

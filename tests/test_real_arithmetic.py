@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from thermofield import cli
+from thermofield.bipartite import BipartitePureState
 from thermofield.linalg import (
     Operator,
     dagger,
@@ -26,8 +27,9 @@ from thermofield.models import (
     build_oscillator,
     build_random_hermitian,
     build_two_level,
+    random_bipartite_state,
 )
-from thermofield.serialize import dump_matrix
+from thermofield.serialize import dump_matrix, dump_state
 from thermofield.thermal import gibbs_density
 
 ISING_9 = '{"kind": "ising", "params": {"n": 9, "j": 0.7, "h": 1.3}}'
@@ -54,6 +56,11 @@ def real_symmetric(dim: int, seed: int) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
+def real_generic_state(dim_a: int, dim_b: int, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed).normal(size=(dim_a, dim_b))
+    return g / np.linalg.norm(g)
+
+
 def real_cases():
     cases = [(f"ising n={n}", build_ising(n, 0.9, 1.1).matrix) for n in range(1, 9)]
     cases += [
@@ -75,14 +82,22 @@ class TestDriverChoice:
         assert cli.main(["tfd", "--model", ISING_4, "--beta", "0.5", "--emit-state", str(state)]) == 0
         assert cli.main(["schmidt", str(state)]) == 0
         assert cli.main(["purify", str(gibbs)]) == 0
+        # a generic real state: not in Schmidt form, so its coefficients take the SVD
+        generic = tmp_path / "generic.json"
+        generic.write_text(dump_state(BipartitePureState(real_generic_state(6, 4, seed=3))))
+        assert cli.main(["schmidt", str(generic)]) == 0
         kernels = sorted(name for name, _ in seen)
-        # purify: one eigh, made by admission and reused by purify
-        assert kernels == ["eigh", "eigh", "svd", "svd"]
+        # tfd and schmidt of its state: one eigh, the Schmidt form certified
+        # without an SVD; purify: one eigh, made by admission and reused
+        assert kernels == ["eigh", "eigh", "svd"]
         assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
-    def test_complex_model_stays_complex(self, monkeypatch, capsys):
+    def test_complex_model_stays_complex(self, monkeypatch, capsys, tmp_path):
+        generic = tmp_path / "generic.json"
+        generic.write_text(dump_state(random_bipartite_state(6, 4, seed=3)))
         seen = record_dtypes(monkeypatch)
         assert cli.main(["tfd", "--model", RANDOM_8, "--beta", "0.5"]) == 0
+        assert cli.main(["schmidt", str(generic)]) == 0
         assert [name for name, _ in seen] == ["eigh", "svd"]
         assert {dtype for _, dtype in seen} == {np.dtype(np.complex128)}
 
