@@ -27,6 +27,7 @@ from .linalg import (
     describe_residual,
     hermitian_eig,
     norm_deviation,
+    numeric_array,
     real_value,
     require_hermitian,
     singular_values,
@@ -77,12 +78,12 @@ class BipartitePureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        size = math.prod(np.shape(self.amplitudes))  # before any copy is made
-        if size > MAX_STATE_AMPLITUDES:
+        a = numeric_array(self.amplitudes)  # before as_matrix copies
+        if a.size > MAX_STATE_AMPLITUDES:
             raise CapacityError(
-                f"state with {size} amplitudes exceeds the maximum {MAX_STATE_AMPLITUDES}"
+                f"state with {a.size} amplitudes exceeds the maximum {MAX_STATE_AMPLITUDES}"
             )
-        a = as_matrix(self.amplitudes)
+        a = as_matrix(a)
         deviation = norm_deviation(a)
         if deviation > ADMISSION_TOL:
             raise ValidationError(
@@ -101,46 +102,35 @@ class BipartitePureState:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator.
+class DensityMatrix(Operator):
+    """Hermitian, unit-trace, positive-semidefinite :class:`Operator`.
 
-    All three axioms are enforced at construction, each within the
-    absolute ``linalg.ADMISSION_TOL``: the Hermiticity residual, the trace
-    deviation (plus ``linalg.ROUNDING_ALLOWANCE``, so every reduction of an
-    admitted state is admitted) and the smallest eigenvalue's negative part.
-    The Hermiticity residual is the one :func:`require_hermitian` keeps on
-    the operator, scaled so it cannot overflow; the trace deviation is
-    summed on the same scale, so one past the float range is reported as
-    such instead of as ``inf``.  The smallest eigenvalue is read from
-    :func:`hermitian_eig`, so an admitted matrix carries its
-    eigendecomposition, cached on ``op``, and :func:`purify` reuses it.
+    The :class:`Operator` checks run first, then the three axioms, each
+    within the absolute ``linalg.ADMISSION_TOL``: the Hermiticity residual,
+    the trace deviation (plus ``linalg.ROUNDING_ALLOWANCE``, so every
+    reduction of an admitted state is admitted) and the smallest
+    eigenvalue's negative part.  Residual and trace are taken on the scale
+    :func:`require_hermitian` keeps, so neither is reported as ``inf``.  The
+    smallest eigenvalue comes from :func:`hermitian_eig`, whose result stays
+    cached on the density matrix for :func:`purify`.
     """
 
-    op: Operator
-
     def __post_init__(self):
-        residual, _, scale = self.op._hermiticity
+        super().__post_init__()
+        residual, _, scale = self._hermiticity
         if residual * scale > ADMISSION_TOL:
             raise ValidationError(
                 f"density matrix is not Hermitian: {describe_residual(residual, scale)}"
             )
-        trace_dev = trace_deviation(self.op)
+        trace_dev = trace_deviation(self)
         if trace_dev > ADMISSION_TOL + ROUNDING_ALLOWANCE:
             raise ValidationError(f"density matrix trace deviates from 1 by {_amount(trace_dev)}")
-        min_eig = float(hermitian_eig(self.op).eigenvalues[0])
+        min_eig = float(hermitian_eig(self).eigenvalues[0])
         if min_eig < -ADMISSION_TOL:
             raise ValidationError(
                 f"density matrix is not positive semidefinite: "
                 f"smallest eigenvalue {min_eig:.3e}"
             )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
 
 
 @dataclass(frozen=True)
@@ -207,13 +197,13 @@ def expectation(state: BipartitePureState, observable: Operator) -> float:
 def reduced_density(state: BipartitePureState) -> DensityMatrix:
     """Density matrix of the system factor, surroundings traced out."""
     a = state.amplitudes
-    return DensityMatrix(Operator(a @ dagger(a)))
+    return DensityMatrix(a @ dagger(a))
 
 
 def environment_density(state: BipartitePureState) -> DensityMatrix:
     """Density matrix of the surroundings factor, system traced out."""
     a = state.amplitudes
-    return DensityMatrix(Operator(a.T @ a.conj()))
+    return DensityMatrix(a.T @ a.conj())
 
 
 def schmidt_decompose(state: BipartitePureState) -> SchmidtResult:
@@ -271,9 +261,9 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
     descending-eigenvalue order, so the dominant weight sits at
     surroundings index 0 and a projector purifies to a product state on
     the (0, 0) corner.  The eigenvectors are the ones admission cached on
-    ``rho.op`` (:func:`hermitian_eig`), so no second factorization runs.
+    ``rho`` itself (:func:`hermitian_eig`), so no second factorization runs.
     """
-    eigenvalues, eigenvectors = hermitian_eig(rho.op)
+    eigenvalues, eigenvectors = hermitian_eig(rho)
     weights = np.clip(eigenvalues[::-1], 0.0, None)
     return BipartitePureState(eigenvectors[:, ::-1] * np.sqrt(weights)[np.newaxis, :])
 
@@ -312,4 +302,4 @@ def joint_density(state: BipartitePureState) -> DensityMatrix:
             f"joint dimension {joint_dim} exceeds the maximum {MAX_OPERATOR_DIM}"
         )
     vec = state.amplitudes.reshape(-1)
-    return DensityMatrix(Operator(np.outer(vec, vec.conj())))
+    return DensityMatrix(np.outer(vec, vec.conj()))

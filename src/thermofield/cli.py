@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from . import bipartite, models, serialize, thermal
-from .bipartite import DensityMatrix
 from .errors import ValidationError
 from .linalg import RESIDUAL_TOL, Operator, bound_exceeded, dagger, hermitian_eig
 
@@ -188,11 +187,11 @@ def cmd_purify(args: argparse.Namespace) -> tuple[list, str | None]:
     summed magnitude.  So the residual is held to ``--tol`` plus that mass,
     read from the eigendecomposition admission cached.
     """
-    rho = DensityMatrix(Operator(serialize.load_matrix(_read_file(args.density))))
+    rho = bipartite.DensityMatrix(serialize.load_matrix(_read_file(args.density)))
     state = bipartite.purify(rho)
     a = state.amplitudes
     residual = float(np.linalg.norm(a @ dagger(a) - rho.matrix))
-    eigenvalues = hermitian_eig(rho.op).eigenvalues
+    eigenvalues = hermitian_eig(rho).eigenvalues
     clipped = -float(np.sum(eigenvalues[eigenvalues < 0.0]))
     record = [("round_trip_residual", "round_trip_residual", residual)]
     if args.output_format == "json" or args.emit_state is not None:  # CSV has no state row

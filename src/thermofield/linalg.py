@@ -49,16 +49,31 @@ __all__ = [
 MAX_OPERATOR_DIM = 4096
 
 
+def numeric_array(entries) -> np.ndarray:
+    """``entries`` as an array of numbers, copied only to make it complex128.
+
+    Strings (never parsed as numbers), dates, ragged rows and other objects
+    raise :class:`ValidationError`.
+    """
+    try:
+        m = np.asarray(entries)
+        if m.dtype.kind in "biuf":
+            return m
+        if m.dtype.kind in "cO":  # complex, or objects numpy may read as complex
+            return np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged rows, or objects that are not numbers
+        pass
+    raise ValidationError("matrix entries must be numbers, in rows of equal length")
+
+
 def as_matrix(entries) -> np.ndarray:
     """Coerce input to a read-only 2-D array with finite entries, copied once.
 
     float64 when the input has no imaginary part or every one is exactly
     zero (``-0.0`` too), complex128 otherwise; real input is copied straight
-    to float64.
+    to float64.  What :func:`numeric_array` rejects raises here too.
     """
-    m = np.asarray(entries)
-    if m.dtype.kind not in "biuf":  # complex, or objects numpy reads as complex
-        m = np.asarray(m, dtype=np.complex128)
+    m = numeric_array(entries)
     real = m.dtype.kind != "c" or not m.imag.any()
     m = np.array(m.real if real else m, dtype=np.float64 if real else np.complex128, order="C")
     if m.ndim != 2:
@@ -75,9 +90,9 @@ def as_matrix(entries) -> np.ndarray:
 class Operator:
     """A square matrix with a fixed dimension.
 
-    Carries Hamiltonians, observables, and density matrices.  The wrapped
-    array is :func:`as_matrix`'s read-only copy, so instances are safe to
-    share across threads.
+    Carries Hamiltonians, observables, and, as the subclass
+    :class:`bipartite.DensityMatrix`, density matrices.  The matrix is
+    :func:`as_matrix`'s read-only copy, safe to share across threads.
 
     The eigendecomposition is made the first time :func:`hermitian_eig` is
     called on an instance and kept, read-only, while the instance lives;
@@ -93,12 +108,12 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        shape = np.shape(self.matrix)  # before as_matrix copies
-        if len(shape) == 2 and shape[0] == shape[1] > MAX_OPERATOR_DIM:
+        m = numeric_array(self.matrix)  # before as_matrix copies
+        if m.ndim == 2 and m.shape[0] == m.shape[1] > MAX_OPERATOR_DIM:
             raise CapacityError(
-                f"operator dimension {shape[0]} exceeds the maximum {MAX_OPERATOR_DIM}"
+                f"operator dimension {m.shape[0]} exceeds the maximum {MAX_OPERATOR_DIM}"
             )
-        m = as_matrix(self.matrix)
+        m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"operator matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
@@ -314,21 +329,13 @@ def real_value(value: complex, op: Operator, what: str) -> float:
 def hermitian_eig(h: Operator) -> EigResult:
     """Eigendecomposition of a Hermitian operator, made once per operator.
 
-    Parameters
-    ----------
-    h : Operator
-        Must satisfy the relative Hermiticity precondition; violations
-        raise :class:`ValidationError` naming the residual.  A spectrum
-        that overflows to a non-finite value also raises.
-
-    Returns
-    -------
-    EigResult
-        Real eigenvalues sorted ascending and orthonormal eigenvector
-        columns in the same order, float64 for a real ``h`` and complex128
-        otherwise.  The arrays are read-only and cached on ``h``, so
-        repeated calls (every beta of a sweep, both sides of the
-        equivalence check) share one diagonalization.
+    Real eigenvalues sorted ascending and orthonormal eigenvector columns in
+    the same order, float64 for a real ``h`` and complex128 otherwise.  An
+    ``h`` that :func:`require_hermitian` rejects raises its
+    :class:`ValidationError`, and so does a spectrum that overflows.  The
+    arrays are read-only and cached on ``h``, so repeated calls (every beta
+    of a sweep, both sides of the equivalence check, :func:`bipartite.purify`
+    of an admitted density matrix) share one diagonalization.
     """
     return h._eig
 

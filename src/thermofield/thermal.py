@@ -157,7 +157,7 @@ def gibbs_density(hamiltonian: Operator, beta: float) -> DensityMatrix:
     eig = hermitian_eig(hamiltonian)
     probabilities, _ = _boltzmann(eig, beta)
     v = eig.eigenvectors
-    return DensityMatrix(Operator((v * probabilities[np.newaxis, :]) @ dagger(v)))
+    return DensityMatrix((v * probabilities[np.newaxis, :]) @ dagger(v))
 
 
 def _check_dims(hamiltonian: Operator, observable: Operator) -> None:

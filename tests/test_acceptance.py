@@ -146,7 +146,7 @@ def test_criterion_6_density_matrix_axioms():
             assert float(np.min(np.linalg.eigvalsh(m))) >= -1e-9
         # and the constructor actually enforces them
         try:
-            DensityMatrix(Operator(np.diag([1.5, -0.5])))
+            DensityMatrix(np.diag([1.5, -0.5]))
         except ValidationError:
             pass
         else:

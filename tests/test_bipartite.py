@@ -28,7 +28,13 @@ from thermofield.bipartite import (
     schmidt_rank,
 )
 from thermofield.errors import CapacityError, ValidationError
-from thermofield.linalg import ADMISSION_TOL, Operator, dagger
+from thermofield.linalg import (
+    ADMISSION_TOL,
+    Operator,
+    dagger,
+    hermitian_eig,
+    require_hermitian,
+)
 from thermofield.models import (
     build_ising,
     build_model,
@@ -191,11 +197,11 @@ class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValidationError, match="[Hh]ermit"):
-            DensityMatrix(Operator(m))
+            DensityMatrix(m)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError, match="trace"):
-            DensityMatrix(Operator(np.eye(2)))
+            DensityMatrix(np.eye(2))
 
     def test_trace_past_float_range_rejected_without_warning(self):
         with warnings.catch_warnings():
@@ -205,25 +211,25 @@ class TestDensityMatrix:
                     ValidationError,
                     match="^density matrix trace deviates from 1 by more than the float range$",
                 ):
-                    DensityMatrix(Operator(m))
+                    DensityMatrix(m)
 
     def test_trace_summed_without_overflow(self):
         # a plain sum of this diagonal runs past the float range; its trace is 0
         m = np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308])
         with pytest.raises(ValidationError, match="^density matrix trace deviates from 1 by 1.000e"):
-            DensityMatrix(Operator(m))
+            DensityMatrix(m)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError, match="eigenvalue"):
-            DensityMatrix(Operator(np.diag([1.5, -0.5])))
+            DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_accepts_boundary_noise(self):
         # tolerances admit rounding-scale violations
         m = np.diag([1.0 + 4e-10, -4e-10])
-        DensityMatrix(Operator(m))
+        DensityMatrix(m)
 
     def test_dim(self):
-        assert DensityMatrix(Operator(np.eye(3) / 3.0)).dim == 3
+        assert DensityMatrix(np.eye(3) / 3.0).dim == 3
 
     def test_joint_density_capacity_before_outer(self, monkeypatch):
         outer = []
@@ -369,20 +375,20 @@ class TestSchmidtCoefficients:
 
 class TestPurify:
     def test_pure_projector(self):
-        state = purify(DensityMatrix(Operator(np.diag([1.0, 0.0]))))
+        state = purify(DensityMatrix(np.diag([1.0, 0.0])))
         amp = np.zeros((2, 2))
         amp[0, 0] = 1.0
         np.testing.assert_allclose(np.abs(state.amplitudes), amp, atol=1e-12)
 
     def test_maximally_mixed_qubit(self):
-        state = purify(DensityMatrix(Operator(np.eye(2) / 2.0)))
+        state = purify(DensityMatrix(np.eye(2) / 2.0))
         coeffs = schmidt_decompose(state).coefficients
         np.testing.assert_allclose(coeffs, [2**-0.5, 2**-0.5], atol=1e-12)
 
     def test_round_trip_seed_21(self):
         g = random_complex_matrix(3, 3, seed=21)
         raw = g @ dagger(g)
-        rho = DensityMatrix(Operator(raw / np.trace(raw).real))
+        rho = DensityMatrix(raw / np.trace(raw).real)
         state = purify(rho)
         assert state.dim_b == 3
         assert np.linalg.norm(reduced_density(state).matrix - rho.matrix) <= 1e-10
@@ -498,7 +504,7 @@ class TestAdmittedIsAccepted:
         with pytest.raises(
             ValidationError, match="^density matrix trace deviates from 1 by 1.010e-09$"
         ):
-            DensityMatrix(Operator(np.diag([0.5 - 1.01e-9, 0.5])))
+            DensityMatrix(np.diag([0.5 - 1.01e-9, 0.5]))
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -550,13 +556,34 @@ def density_inputs(draw):
     return m
 
 
+class TestDensityMatrixIsOperator:
+    """A density matrix is an ``Operator``: one object, one cache."""
+
+    def test_accepted_where_an_operator_is(self):
+        state = random_bipartite_state(3, 4, seed=5)  # complex, Schmidt rank 3
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            rho = reduced_density(state)
+            assert eigh.call_count == 1
+            assert isinstance(rho, Operator)
+            assert hermitian_eig(rho) is vars(rho)["_eig"]  # cached by admission
+            require_hermitian(rho)
+            purify(rho)
+            assert eigh.call_count == 1
+        purity = float(np.sum(schmidt_coefficients(state) ** 4))
+        assert abs(expectation(state, rho) - purity) <= 1e-12
+
+    def test_rejects_an_operator_argument(self):
+        with pytest.raises(ValidationError, match="^matrix entries must be numbers"):
+            DensityMatrix(Operator(np.eye(2) / 2.0))
+
+
 class TestAdmittedIsFactorized:
     """A matrix that ``DensityMatrix`` admits carries its eigendecomposition.
 
     Admission raises ``ValidationError`` or leaves a finite, ascending
     eigendecomposition with no eigenvalue below -1e-9, cached on the
-    operator; ``purify`` reads it and factorizes nothing again.  Nothing
-    else raises and nothing warns.
+    density matrix itself; ``purify`` reads it and factorizes nothing
+    again.  Nothing else raises and nothing warns.
     """
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -564,13 +591,12 @@ class TestAdmittedIsFactorized:
     def test_property_admission_caches_eigh(self, m):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            op = Operator(m)
             try:
-                rho = DensityMatrix(op)
+                rho = DensityMatrix(m)
             except ValidationError:
                 return
-            assert "_eig" in vars(op)  # the cached_property's slot
-            eigenvalues, eigenvectors = op._eig
+            assert "_eig" in vars(rho)  # the cached_property's slot
+            eigenvalues, eigenvectors = rho._eig
             assert np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(eigenvectors))
             assert np.all(eigenvalues[1:] >= eigenvalues[:-1])
             assert eigenvalues[0] >= -1e-9

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from thermofield import cli
 from thermofield.bipartite import DensityMatrix, purify, reduced_density
-from thermofield.linalg import Operator, dagger
+from thermofield.linalg import dagger
 from thermofield.models import random_bipartite_state, random_complex_matrix
 from thermofield.serialize import dump_matrix, dump_state, load_matrix, render_number
 
@@ -368,7 +368,7 @@ class TestPurify:
         raw = g @ dagger(g)
         path = tmp_path / "rho.json"
         path.write_text(dump_matrix(raw / np.trace(raw).real))
-        rho = DensityMatrix(Operator(load_matrix(path.read_text())))
+        rho = DensityMatrix(load_matrix(path.read_text()))
         state = purify(rho)
         # the residual as a second admitted DensityMatrix gives it
         want = float(np.linalg.norm(reduced_density(state).matrix - rho.matrix))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermofield import linalg
-from thermofield.bipartite import DensityMatrix, purify
+from thermofield.bipartite import BipartitePureState, DensityMatrix, purify
 from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import (
     Operator,
@@ -84,6 +84,42 @@ class TestOperator:
         kept = Operator(tiny).matrix
         assert kept.dtype == np.complex128
         assert kept.tobytes() == tiny.tobytes()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [["1", "2"], ["3", "4"]],
+            "abc",
+            [[1, 2], [3]],
+            [[object()]],
+            np.array([["2020-01-01"]], dtype="datetime64[D]"),
+            Operator(np.eye(2) / 2.0),
+        ],
+        ids=["strings", "string", "ragged", "object", "date", "operator"],
+    )
+    def test_rejects_what_is_not_numbers(self, entries):
+        # strings are not parsed, and no numpy error escapes
+        for admit in (Operator, BipartitePureState):
+            with pytest.raises(
+                ValidationError, match="^matrix entries must be numbers, in rows of equal length$"
+            ):
+                admit(entries)
+
+    @pytest.mark.parametrize(
+        "entries, value",
+        [
+            ([[True]], 1.0),
+            ([[3]], 3.0),
+            ([[0.5]], 0.5),
+            ([[2**70]], 2.0**70),  # an object array of Python ints
+            (np.array([[1.5 + 0.0j]], dtype=object), 1.5),
+        ],
+        ids=["bool", "int", "float", "big-int", "object"],
+    )
+    def test_accepts_numbers(self, entries, value):
+        m = Operator(entries).matrix
+        assert m.dtype == np.float64
+        assert m[0, 0] == value
 
     def test_matrix_is_read_only(self):
         op = Operator(np.eye(2))
@@ -394,7 +430,7 @@ def schmidt_form_states(draw):
         dim = draw(st.integers(1, 32))
         g = random_complex_matrix(dim, draw(st.integers(1, dim)), seed)
         raw = g @ dagger(g)
-        return purify(DensityMatrix(Operator(raw / np.trace(raw).real))).amplitudes
+        return purify(DensityMatrix(raw / np.trace(raw).real)).amplitudes
     if kind == "ising":
         j, h = draw(st.floats(-2.0, 2.0)), draw(st.sampled_from([0.0, 0.3, 1.1]))
         hamiltonian = build_ising(draw(st.integers(1, 6)), j, h)
