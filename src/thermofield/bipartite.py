@@ -24,7 +24,6 @@ from .linalg import (
     Operator,
     as_matrix,
     dagger,
-    describe_residual,
     hermitian_eig,
     norm_deviation,
     numeric_array,
@@ -64,7 +63,7 @@ def _amount(deviation: float) -> str:
     return f"{deviation:.3e}" if math.isfinite(deviation) else "more than the float range"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartitePureState:
     """Normalized pure state of a two-factor system.
 
@@ -101,27 +100,23 @@ class BipartitePureState:
         return self.amplitudes.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix(Operator):
     """Hermitian, unit-trace, positive-semidefinite :class:`Operator`.
 
-    The :class:`Operator` checks run first, then the three axioms, each
-    within the absolute ``linalg.ADMISSION_TOL``: the Hermiticity residual,
-    the trace deviation (plus ``linalg.ROUNDING_ALLOWANCE``, so every
-    reduction of an admitted state is admitted) and the smallest
-    eigenvalue's negative part.  Residual and trace are taken on the scale
-    :func:`require_hermitian` keeps, so neither is reported as ``inf``.  The
-    smallest eigenvalue comes from :func:`hermitian_eig`, whose result stays
-    cached on the density matrix for :func:`purify`.
+    The :class:`Operator` checks run first, then the three axioms: the
+    Hermiticity residual, by the operator's own relative rule
+    (:func:`require_hermitian`), the trace deviation, within the absolute
+    ``linalg.ADMISSION_TOL`` plus ``linalg.ROUNDING_ALLOWANCE`` (so every
+    reduction of an admitted state is admitted), and the smallest
+    eigenvalue's negative part, within ``linalg.ADMISSION_TOL``.  That
+    eigenvalue comes from :func:`hermitian_eig`, whose result stays cached
+    on the density matrix for :func:`purify`.
     """
 
     def __post_init__(self):
         super().__post_init__()
-        residual, _, scale = self._hermiticity
-        if residual * scale > ADMISSION_TOL:
-            raise ValidationError(
-                f"density matrix is not Hermitian: {describe_residual(residual, scale)}"
-            )
+        require_hermitian(self, "density matrix")
         trace_dev = trace_deviation(self)
         if trace_dev > ADMISSION_TOL + ROUNDING_ALLOWANCE:
             raise ValidationError(f"density matrix trace deviates from 1 by {_amount(trace_dev)}")
@@ -133,7 +128,7 @@ class DensityMatrix(Operator):
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtResult:
     """Biorthogonal expansion of a bipartite pure state.
 

@@ -6,13 +6,16 @@ to stderr.  Exit codes: 0 success, 1 a residual exceeded the tolerance,
 2 bad input, config, or I/O, a failed write to stdout included.  Output for
 a fixed config is byte-identical across runs.
 Each command returns its records, and :func:`_render` writes them in the
-chosen format.
+chosen format.  A ``verify`` record, one per beta, has the keys
+``beta, observable_name, trace_average, doubled_expectation, residual,
+entropy, schmidt_coefficients`` in exactly that order.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
 import os
 import sys
@@ -155,7 +158,19 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list, str | None]:
     reports = thermal.verify_betas(hamiltonian, args.beta, observable, args.observable)
     worst = max(r.residual for r in reports)
     failure = _over_tolerance("equivalence", worst, args.tolerance, observable)
-    return [serialize.report_fields(r) for r in reports], failure
+    records = [
+        [
+            ("beta", None, r.beta),
+            ("observable_name", None, json.dumps(r.observable_name)),
+            ("trace_average", "trace_average", r.trace_average),
+            ("doubled_expectation", "doubled_expectation", r.doubled_expectation),
+            ("residual", "residual", r.residual),
+            ("entropy", "entropy", r.entropy),
+            ("schmidt_coefficients", "schmidt_coefficient", r.schmidt_coefficients),
+        ]
+        for r in reports
+    ]
+    return records, failure
 
 
 def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:

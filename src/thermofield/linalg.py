@@ -86,7 +86,7 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """A square matrix with a fixed dimension.
 
@@ -99,10 +99,11 @@ class Operator:
     every later call returns it.  The Hermiticity margin of
     :func:`require_hermitian` is kept the same way, so an operator is
     checked once however many layers require it.  Neither cache can go
-    stale because the matrix is a private read-only copy.  The
-    eigendecomposition holds a second dim x dim array of the matrix's
-    dtype, so a diagonalized operator takes twice the memory of the matrix
-    alone (512 MiB instead of 256 MiB for a complex one at dim 4096).
+    stale because the matrix is a private read-only copy, and operators
+    compare and hash by identity, as the caches do.  The eigendecomposition
+    holds a second dim x dim array of the matrix's dtype, so a diagonalized
+    operator takes twice the memory of the matrix alone (512 MiB instead of
+    256 MiB for a complex one at dim 4096).
     """
 
     matrix: np.ndarray
@@ -189,29 +190,16 @@ def scaled_hermiticity(m: np.ndarray) -> tuple[float, float, float]:
     return hermiticity_residual(scaled), float(np.linalg.norm(scaled)), scale
 
 
-def describe_residual(residual: float, scale: float, bound: float | None = None) -> str:
-    """``residual * scale`` for an error message, never printed as ``inf``.
-
-    Gives ``"residual 1.234e+00"``, followed by ``" exceeds <bound>"`` when
-    a bound is given, or ``"residual exceeds the float range"``.
-    """
-    value = residual * scale
-    if not math.isfinite(value):
-        return "residual exceeds the float range"
-    text = f"residual {value:.3e}"
-    return text if bound is None else f"{text} exceeds {bound:.3e}"
-
-
 # -- the tolerance table ------------------------------------------------------
 # Every tolerance of the package, each defined once here: why it has its
 # value, and the layer that applies it.
 
 # Admission, the first layer: what a value may be off by and still enter.
-# Relative for Hermiticity (require_hermitian, through bound_exceeded);
-# absolute for a state's norm (BipartitePureState) and for a density
-# matrix's Hermiticity residual, trace and smallest eigenvalue
-# (DensityMatrix), objects of norm 1.  About 4.5 million units of 2**-52:
-# far above the rounding that sound input carries, far below a real defect.
+# Relative for Hermiticity (require_hermitian, through bound_exceeded), a
+# density matrix's too; absolute for a state's norm (BipartitePureState) and
+# for a density matrix's trace and smallest eigenvalue (DensityMatrix),
+# objects of norm 1.  About 4.5 million units of 2**-52: far above the
+# rounding that sound input carries, far below a real defect.
 ADMISSION_TOL = 1e-9
 
 # Residual checks on results: schmidt_decompose's reconstruction of the
@@ -301,13 +289,16 @@ def require_hermitian(op: Operator, what: str = "operator") -> None:
     with both norms taken by :func:`scaled_hermiticity` and compared by
     :func:`bound_exceeded`, so neither overflows for entries near the float
     limit.  The norms are computed on the first call and kept on the
-    instance; every call still raises with its own ``what``.
+    instance; every call still raises with its own ``what``, and never
+    prints the residual as ``inf``.
     """
     residual, _, scale = op._hermiticity
-    bound = bound_exceeded(residual * scale, ADMISSION_TOL, op)
+    value = residual * scale
+    bound = bound_exceeded(value, ADMISSION_TOL, op)
     if bound is not None:
+        amount = f"{value:.3e} exceeds {bound:.3e}" if math.isfinite(value) else None
         raise ValidationError(
-            f"{what} is not Hermitian: {describe_residual(residual, scale, bound)}"
+            f"{what} is not Hermitian: residual {amount or 'exceeds the float range'}"
         )
 
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .linalg import MAX_OPERATOR_DIM, Operator, dagger
-from .bipartite import BipartitePureState
+from .bipartite import MAX_STATE_AMPLITUDES, BipartitePureState
 
 __all__ = [
     "ModelSpec",
@@ -222,6 +222,10 @@ def random_complex_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Matrix of independent standard complex normals, filled row-major (step 4)."""
     if rows < 1 or cols < 1:
         raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    if rows * cols > MAX_STATE_AMPLITUDES:  # checked before anything is drawn
+        raise CapacityError(
+            f"random matrix with {rows * cols} entries exceeds the maximum {MAX_STATE_AMPLITUDES}"
+        )
     return standard_normals(seed, 2 * rows * cols).view(np.complex128).reshape(rows, cols)
 
 

@@ -3,13 +3,10 @@
 All numbers are rendered with 17 significant digits so float64 values
 round-trip bit-stably (``-0.0`` is written as ``0``), and every object is
 emitted with a fixed key order, making whole documents byte-reproducible.
-Three flat schemas:
+Two flat schemas:
 
 * matrix:  ``{"rows": R, "cols": C, "re": [R*C], "im": [R*C]}`` row-major
 * state:   ``{"dim_a": dA, "dim_b": dB, "re": [dA*dB], "im": [dA*dB]}``
-* report:  ``{"beta", "observable_name", "trace_average",
-  "doubled_expectation", "residual", "entropy", "schmidt_coefficients"}``
-  in exactly that key order.
 
 Array numbers are written with the bytes of ``"%.17g" % x``, but by numpy:
 an exact decimal scaling (Dekker's error-free product) and digit tables.
@@ -41,7 +38,6 @@ import orjson
 from .bipartite import BipartitePureState
 from .errors import ValidationError
 from .linalg import as_matrix
-from .thermal import ThermalReport
 
 __all__ = [
     "render_number",
@@ -52,7 +48,6 @@ __all__ = [
     "load_matrix",
     "dump_state",
     "load_state",
-    "report_fields",
 ]
 
 
@@ -374,21 +369,4 @@ def load_state(text: str | bytes) -> BipartitePureState:
     Normalization is validated on construction.
     """
     return BipartitePureState(_load_complex(text, "dim_a", "dim_b"))
-
-
-def report_fields(report: ThermalReport) -> list[tuple[str, str | None, object]]:
-    """The fields of one report, in the documented key order.
-
-    Each is ``(JSON key, CSV quantity, value)``; the CSV quantity is the
-    stem of one row per entry for an array, and None for a JSON-only field.
-    """
-    return [
-        ("beta", None, report.beta),
-        ("observable_name", None, json.dumps(report.observable_name)),
-        ("trace_average", "trace_average", report.trace_average),
-        ("doubled_expectation", "doubled_expectation", report.doubled_expectation),
-        ("residual", "residual", report.residual),
-        ("entropy", "entropy", report.entropy),
-        ("schmidt_coefficients", "schmidt_coefficient", report.schmidt_coefficients),
-    ]
 

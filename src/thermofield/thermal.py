@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalSpectrum:
     """Energies and occupation probabilities of a canonical ensemble.
 
@@ -74,7 +74,7 @@ class ThermalSpectrum:
             raise ValidationError(f"probabilities must sum to 1, deviation {dev:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalReport:
     """Serializable outcome of one equivalence check at fixed ``beta``."""
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thermofield import bipartite
+from thermofield import bipartite, linalg
 from thermofield.bipartite import (
     BipartitePureState,
     DensityMatrix,
@@ -575,6 +575,19 @@ class TestDensityMatrixIsOperator:
     def test_rejects_an_operator_argument(self):
         with pytest.raises(ValidationError, match="^matrix entries must be numbers"):
             DensityMatrix(Operator(np.eye(2) / 2.0))
+
+    def test_hermiticity_checked_once(self, monkeypatch):
+        # admission and the eigendecomposition share the operator's one check
+        calls = []
+        original = linalg.scaled_hermiticity
+        monkeypatch.setattr(linalg, "scaled_hermiticity", lambda m: calls.append(m) or original(m))
+        DensityMatrix(np.diag([0.75, 0.25]))
+        assert len(calls) == 1
+
+    def test_hermiticity_bound_is_the_operators(self):
+        # relative to max(1, ||rho||_F): a residual of 2.8e-9 passes at norm 141
+        with pytest.raises(ValidationError, match="^density matrix is not positive semidefinite"):
+            DensityMatrix(np.array([[100.0, 2e-9], [0.0, -99.0]]))
 
 
 class TestAdmittedIsFactorized:

@@ -438,7 +438,11 @@ class TestPurify:
     @pytest.mark.parametrize(
         "entries,detail",
         [
-            ([[1e308, 1e308], [0.0, 0.0]], "residual 1.414e+308"),
+            pytest.param(
+                [[1e308, 1e308], [0.0, 0.0]],
+                "residual 1.414e+308 exceeds 1.414e+299",
+                id="entries0-residual 1.414e+308",
+            ),
             ([[0.0, 1e308], [-1e308, 0.0]], "residual exceeds the float range"),
         ],
     )

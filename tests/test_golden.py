@@ -5,7 +5,8 @@ stderr and the exit code with files under ``tests/golden/``:
 
 * ``models/<kind>.json``: one model file per model kind;
 * ``inputs/``: observable files, a Gibbs density file, a non-square
-  matrix, a diagonal matrix whose trace is past the float range, a state
+  matrix, a diagonal matrix whose trace is past the float range, a 2 x 2
+  density file with one off-diagonal entry of 2e-9 (not Hermitian), a state
   whose norm is off by 5e-10 (within admission), one admitted at the norm
   bound (deviation 0.99999997e-9), a diagonal density matrix with an
   eigenvalue of -0.8e-9 (admitted, and clipped by ``purify``), a generic
@@ -225,6 +226,7 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
         "usage_error": [*spectrum(TWO_LEVEL), "--format", "xml"],
         "nonsquare_density": ["purify", "inputs/nonsquare.json"],
         "trace_overflow_density": ["purify", "inputs/trace_overflow.json"],
+        "nonhermitian_density": ["purify", "inputs/nonhermitian.json"],
         "norm_overflow_state": ["schmidt", "inputs/norm_overflow.json"],
     }
     for bad in BAD_INLINE:
@@ -397,6 +399,7 @@ def write_missing_golden() -> None:
     files[inputs / "observable16.json"] = serialize.dump_matrix((g + g.conj().T) / 2.0)
     files[inputs / "nonsquare.json"] = serialize.dump_matrix(np.ones((2, 3)))
     files[inputs / "trace_overflow.json"] = serialize.dump_matrix(np.diag([1.7e308, 1.7e308]))
+    files[inputs / "nonhermitian.json"] = serialize.dump_matrix(np.array([[0.5, 2e-9], [0.0, 0.5]]))
     files[inputs / "norm_overflow.json"] = serialize.render_object(
         [("dim_a", 1), ("dim_b", 2), ("re", [1e200, 0.0]), ("im", [0.0, 0.0])]
     )

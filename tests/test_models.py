@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from thermofield.errors import ValidationError
+from thermofield import models
+from thermofield.errors import CapacityError, ValidationError
 from thermofield.linalg import Operator, hermitian_eig, hermiticity_residual
 from thermofield.models import (
     MODEL_KINDS,
@@ -252,6 +253,15 @@ class TestGeneratorVectors:
 
 
 class TestRandomStates:
+    def test_capacity_checked_before_drawing(self, monkeypatch):
+        def refuse(seed, count):
+            raise AssertionError(f"drew {count} uniforms")
+
+        monkeypatch.setattr(models, "_raw_uniforms", refuse)
+        message = "^random matrix with 16781312 entries exceeds the maximum 16777216$"
+        with pytest.raises(CapacityError, match=message):
+            random_bipartite_state(4097, 4096, 1)
+
     def test_bipartite_state(self):
         state = random_bipartite_state(3, 4, seed=9)
         assert (state.dim_a, state.dim_b) == (3, 4)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import math
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermofield import serialize
+from thermofield import cli, serialize
 from thermofield.bipartite import BipartitePureState
 from thermofield.errors import ValidationError
 from thermofield.bipartite import schmidt_coefficients
+from thermofield.linalg import RESIDUAL_TOL
 from thermofield.models import (
     build_ising,
-    build_observable,
+    parse_model_spec,
     random_bipartite_state,
     random_complex_matrix,
     standard_normals,
@@ -29,9 +31,17 @@ from thermofield.serialize import (
     render_number,
     render_number_array,
     render_object,
-    report_fields,
 )
-from thermofield.thermal import ThermalReport, thermofield_double, verify_equivalence
+from thermofield.thermal import thermofield_double
+
+
+def verify_records(model: dict, betas: list[float]) -> list:
+    """The records of ``thermofield verify`` with the energy observable, from ``cli``."""
+    args = argparse.Namespace(
+        model=parse_model_spec(model), beta=betas, observable="energy", tolerance=RESIDUAL_TOL
+    )
+    records, _ = cli.cmd_verify(args)
+    return records
 
 
 class TestRenderNumber:
@@ -202,10 +212,10 @@ class TestRenderArray:
             flat = state.amplitudes.reshape(-1)
             assert text.endswith(f'"re": {per_entry(flat.real)}, "im": {per_entry(flat.imag)}}}')
         tfd = schmidt_coefficients(double)
-        report = verify_equivalence(ising, 0.5, build_observable("energy", ising))
+        (record,) = verify_records({"kind": "ising", "params": {"n": 9, "j": 0.9, "h": 1.1}}, [0.5])
         for coefficients, fields in (
             (tfd, [("schmidt_coefficients", "schmidt_coefficient", tfd)]),
-            (report.schmidt_coefficients, report_fields(report)),
+            ({key: value for key, _, value in record}["schmidt_coefficients"], record),
         ):
             text = render_object((key, value) for key, _, value in fields)
             assert text.endswith(f'"schmidt_coefficients": {per_entry(coefficients)}}}')
@@ -296,18 +306,14 @@ class TestStateFormat:
 
 
 class TestReportFormat:
-    def make_report(self):
-        return ThermalReport(
-            beta=0.25,
-            observable_name="energy",
-            trace_average=1.5,
-            doubled_expectation=1.5 + 1e-13,
-            schmidt_coefficients=np.array([0.9, math.sqrt(1.0 - 0.81)]),
-        )
+    @staticmethod
+    def make_report():
+        (record,) = verify_records({"kind": "two_level", "params": {"gap": 1.25}}, [0.25])
+        return record
 
     @staticmethod
-    def render(report):
-        return render_object((key, value) for key, _, value in report_fields(report))
+    def render(record):
+        return render_object((key, value) for key, _, value in record)
 
     def test_key_order_fixed(self):
         text = self.render(self.make_report())
@@ -323,15 +329,16 @@ class TestReportFormat:
         ]
 
     def test_numbers_round_trip(self):
-        report = self.make_report()
-        obj = json.loads(self.render(report))
-        assert obj["beta"] == report.beta
-        assert obj["doubled_expectation"] == report.doubled_expectation
-        assert obj["schmidt_coefficients"] == list(report.schmidt_coefficients)
+        record = self.make_report()
+        values = {key: value for key, _, value in record}
+        obj = json.loads(self.render(record))
+        assert obj["beta"] == 0.25
+        assert obj["observable_name"] == "energy"
+        assert obj["doubled_expectation"] == values["doubled_expectation"]
+        assert obj["schmidt_coefficients"] == list(values["schmidt_coefficients"])
 
     def test_deterministic_bytes(self):
-        report = self.make_report()
-        assert self.render(report) == self.render(report)
+        assert self.render(self.make_report()) == self.render(self.make_report())
 
 
 # Canonical documents of both array formats; the matrix holds integers,

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 import oracles
 import thermofield
 from thermofield.bipartite import (
+    BipartitePureState,
+    DensityMatrix,
+    SchmidtResult,
     entanglement_entropy,
     reduced_density,
     schmidt_decompose,
@@ -292,6 +295,27 @@ class TestDecohere:
         h = build_random_hermitian(5, seed=37)
         delta = decohere_tfd(h, beta=2.0).matrix - gibbs_density(h, 2.0).matrix
         assert np.linalg.norm(delta) <= 1e-10
+
+
+# one instance of each value type, made afresh on every call
+VALUE_TYPES = {
+    "Operator": lambda: Operator(np.eye(2)),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2.0),
+    "BipartitePureState": lambda: BipartitePureState(np.eye(1)),
+    "SchmidtResult": lambda: SchmidtResult(np.ones(1), np.eye(1), np.eye(1)),
+    "ThermalSpectrum": lambda: thermal_spectrum(build_two_level(1.0), 1.0),
+    "ThermalReport": lambda: verify_equivalence(build_two_level(1.0), 1.0, Operator(np.eye(2))),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_value_types_compare_and_hash_by_identity(make):
+    # the per-instance caches assume identity; array fields have no truth value
+    x, equal_valued = make(), make()
+    assert x == x
+    assert x != equal_valued
+    assert len({x, x}) == 1
+    assert len({x, equal_valued}) == 2
 
 
 class TestTildeConjugation:
