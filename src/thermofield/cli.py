@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -41,15 +42,19 @@ def _read_file(path: str) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _write(path: str | None, *texts: str) -> None:
-    """Write the texts to the file at ``path``, or to stdout when it is None."""
+def _write(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the pieces in order, as they come, and a newline to the file at
+    ``path``, or to stdout when it is None, so a document is never held
+    whole."""
     try:
         if path is None:
-            sys.stdout.writelines(texts)  # looked up here, so a redirect is honoured
+            sys.stdout.writelines(pieces)  # looked up here, so a redirect is honoured
+            sys.stdout.write("\n")
             sys.stdout.flush()
         else:
             with open(path, "w", encoding="utf-8") as f:
-                f.writelines(texts)
+                f.writelines(pieces)
+                f.write("\n")
     except OSError as exc:
         if path is None:
             _silence(sys.stdout)
@@ -114,8 +119,9 @@ def _over_tolerance(
     return None if bound is None else f"{what} residual {residual:.3e} exceeds tolerance {bound:.3e}"
 
 
-def _render(records: list, output_format: str, array: bool) -> str:
-    """The records as JSON (one object, or an array of them) or as CSV rows.
+def _render(records: list, output_format: str, array: bool) -> Iterator[str]:
+    """The records as JSON (one object, or an array of them), in pieces
+    rendered as they are asked for, or as CSV rows, in one piece.
 
     A record is a list of fields ``(JSON key, CSV quantity, value)``.  In
     CSV each field with a quantity is one ``beta,quantity,value`` row (an
@@ -123,8 +129,13 @@ def _render(records: list, output_format: str, array: bool) -> str:
     field fills the beta column.  The document has no final newline.
     """
     if output_format == "json":
-        objects = [serialize.render_object((key, value) for key, _, value in r) for r in records]
-        return "[" + ", ".join(objects) + "]" if array else objects[0]
+        for index, r in enumerate(records):
+            if array:
+                yield ", " if index else "["
+            yield from serialize.object_pieces((key, value) for key, _, value in r)
+        if array:
+            yield "]"
+        return
     lines = [CSV_HEADER]
     for fields in records:
         beta = next((serialize.render_number(v) for key, _, v in fields if key == "beta"), "")
@@ -137,7 +148,7 @@ def _render(records: list, output_format: str, array: bool) -> str:
                 ]
             else:
                 lines.append(f"{beta},{quantity},{serialize.render_number(value)}")
-    return "\n".join(lines)
+    yield "\n".join(lines)
 
 
 # Every command takes the parsed arguments, with ``model`` loaded and ``beta``
@@ -190,7 +201,7 @@ def cmd_tfd(args: argparse.Namespace) -> tuple[list, str | None]:
             ]
         )
         if args.emit_state is not None:
-            _write(args.emit_state, serialize.dump_state(state), "\n")
+            _write(args.emit_state, serialize.state_pieces(state))
     return records, None
 
 
@@ -208,12 +219,15 @@ def cmd_purify(args: argparse.Namespace) -> tuple[list, str | None]:
     residual = float(np.linalg.norm(a @ dagger(a) - rho.matrix))
     eigenvalues = hermitian_eig(rho).eigenvalues
     clipped = -float(np.sum(eigenvalues[eigenvalues < 0.0]))
-    record = [("round_trip_residual", "round_trip_residual", residual)]
-    if args.output_format == "json" or args.emit_state is not None:  # CSV has no state row
+    if args.emit_state is None:  # rendered as it is written, if at all (CSV has no state row)
+        state_json = serialize.state_pieces(state)
+    else:  # rendered once, for the file and the record
         state_json = serialize.dump_state(state)
-        record.append(("state", None, state_json))
-        if args.emit_state is not None:
-            _write(args.emit_state, state_json, "\n")
+        _write(args.emit_state, [state_json])
+    record = [
+        ("round_trip_residual", "round_trip_residual", residual),
+        ("state", None, state_json),
+    ]
     return [record], _over_tolerance("round-trip", residual, args.tolerance + clipped)
 
 
@@ -285,8 +299,7 @@ def main(argv: list[str] | None = None) -> int:
             _check_nonnegative("beta values", beta)
         records, failure = args.run(args)
         # a command over a beta list writes one record per beta, as a JSON array
-        text = _render(records, args.output_format, hasattr(args, "beta"))
-        _write(args.output_path, text, "\n")
+        _write(args.output_path, _render(records, args.output_format, hasattr(args, "beta")))
     except ValidationError as exc:
         _diagnose(f"error: {exc}")
         return 2

@@ -196,44 +196,85 @@ def build_ising(n: int, j: float, h_field: float) -> Operator:
     return Operator(total)
 
 
-def _raw_uniforms(seed: int, count: int) -> np.ndarray:
+# Complex entries drawn per block, in whole rows: a matrix of up to
+# 1024 x 1024 is one block.  Blocks are a multiple of 64 rows, so block
+# edges fall on the same multiples of the SIMD width as in one whole draw.
+_DRAW_BLOCK = 1 << 20
+# Side of the tiles that build_random_hermitian forms G + G^dagger in.
+_TILE = 256
+
+
+def _philox(seed: int) -> np.random.Philox:
+    """The generator of step 1, from a checked seed."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValidationError("seed must be an integer")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
-    generator = np.random.Philox(key=seed)
-    raw = generator.random_raw(count)
-    return (raw >> np.uint64(11)) * 2.0**-53
+    return np.random.Philox(key=seed)
+
+
+def _raw_uniforms(generator: np.random.Philox, count: int) -> np.ndarray:
+    """The next ``count`` uniforms of the stream (step 2)."""
+    return (generator.random_raw(count) >> np.uint64(11)) * 2.0**-53
+
+
+def _normals_into(out: np.ndarray, generator: np.random.Philox) -> None:
+    """Fill ``out``, float64 of even size, with the next normals (step 3).
+
+    Successive calls continue the stream, each from the word where the last
+    one stopped.
+    """
+    u = _raw_uniforms(generator, out.size)
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
 
 
 def standard_normals(seed: int, count: int) -> np.ndarray:
     """The first ``count`` values of the documented normal stream."""
-    pairs = (count + 1) // 2
-    u = _raw_uniforms(seed, 2 * pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    angle = 2.0 * np.pi * u[1::2]
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
+    z = np.empty(2 * ((count + 1) // 2))
+    _normals_into(z, _philox(seed))
     return z[:count]
 
 
 def random_complex_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Matrix of independent standard complex normals, filled row-major (step 4)."""
+    """Matrix of independent standard complex normals, filled row-major (step 4).
+
+    The stream is drawn in blocks of whole rows, straight into the matrix.
+    """
     if rows < 1 or cols < 1:
         raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if rows * cols > MAX_STATE_AMPLITUDES:  # checked before anything is drawn
         raise CapacityError(
             f"random matrix with {rows * cols} entries exceeds the maximum {MAX_STATE_AMPLITUDES}"
         )
-    return standard_normals(seed, 2 * rows * cols).view(np.complex128).reshape(rows, cols)
+    generator = _philox(seed)
+    m = np.empty((rows, cols), dtype=np.complex128)
+    step = max(64, _DRAW_BLOCK // cols // 64 * 64)
+    for start in range(0, rows, step):
+        _normals_into(m[start : start + step].reshape(-1).view(np.float64), generator)
+    return m
 
 
 def build_random_hermitian(dim: int, seed: int) -> Operator:
-    """Hermitian matrix ``(G + G^dagger) / 2`` for a seeded Gaussian ``G``."""
+    """Hermitian matrix ``(G + G^dagger) / 2`` for a seeded Gaussian ``G``.
+
+    The sum is formed in ``G`` itself, a pair of mirrored tiles at a time,
+    with the same operations as on the whole matrix, so the bits are the same.
+    """
     dim, seed = _checked("random_hermitian", dim, seed)
     g = random_complex_matrix(dim, dim, seed)
-    return Operator((g + dagger(g)) / 2.0)
+    for i in range(0, dim, _TILE):
+        rows = slice(i, i + _TILE)
+        diagonal = g[rows, rows]
+        diagonal[...] = (diagonal + dagger(diagonal)) / 2.0
+        for j in range(i + _TILE, dim, _TILE):
+            cols = slice(j, j + _TILE)
+            upper = g[rows, cols].copy()
+            g[rows, cols] = (upper + dagger(g[cols, rows])) / 2.0
+            g[cols, rows] = (g[cols, rows] + dagger(upper)) / 2.0
+    return Operator(g)
 
 
 def random_bipartite_state(dim_a: int, dim_b: int, seed: int) -> BipartitePureState:

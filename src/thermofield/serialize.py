@@ -16,21 +16,32 @@ one ``%`` call (see :func:`render_number_array`).  The window stops at 8
 because bulk output is state amplitudes and Schmidt coefficients, all
 within 1.
 
-The matrix and state formats are read by ``orjson``, which parses them
-several times faster than ``json``.  A document that ``orjson`` or the
-format checks reject, or that holds a key besides the four of its format,
-is read again by ``json`` (:func:`parse_json`).  So every rejection and
-its message comes from ``json``, and so does every document the two
-parsers read differently (``NaN``, ``Infinity``, ``1e400``, a byte-order
-mark, lone surrogates, nesting past json's limit).  Where both accept a
-document they give the same float64 bits.  Model JSON and every other
-caller use :func:`parse_json` alone.
+Documents are written as they are rendered: :func:`object_pieces` and
+:func:`state_pieces` give the text in pieces, one array block at a time,
+and the ``dump_*`` and ``render_*`` functions join them into one ``str``.
+
+A matrix or state document in the layout the dumps and Python's
+``json.dump`` write (the keys in format order, ``": "`` and ``", "``
+between them) is read by :func:`_read_dumped`: each array text is parsed in
+comma-aligned slices of at most ``_SLICE`` bytes, by ``orjson``, straight
+into one preallocated complex array, and an array of zeros alone (``0,
+0, ...`` or ``0.0, 0.0, ...``, the ``im`` of every real model) is filled
+without parsing.  A slice must hold nothing but the bytes of numbers,
+commas and spaces before orjson sees it.  Every other document, and one
+that any of these checks refuses, is read by ``json`` (:func:`parse_json`).
+So every rejection and its message comes from ``json``, and so does every
+document the two parsers read differently (``NaN``, ``Infinity``,
+``1e400``, a byte-order mark, lone surrogates, nesting past json's limit).
+Where both accept a document they give the same float64 bits.  Model JSON
+and every other caller use :func:`parse_json` alone.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
+from collections.abc import Iterator
 
 import numpy as np
 import orjson
@@ -43,10 +54,12 @@ __all__ = [
     "render_number",
     "render_number_array",
     "render_object",
+    "object_pieces",
     "parse_json",
     "dump_matrix",
     "load_matrix",
     "dump_state",
+    "state_pieces",
     "load_state",
 ]
 
@@ -250,22 +263,31 @@ def _render_block(x: np.ndarray) -> str:
 def render_object(pairs) -> str:
     """JSON object from (key, value) pairs, order preserved.
 
-    A ``str`` value is JSON text and is emitted as it is; a list, tuple or
-    array is rendered by :func:`render_number_array`, anything else by
-    :func:`render_number`.  The pieces, array blocks included, are joined
-    once, so the document is copied once.
+    A ``str`` value, or an iterator of ``str`` pieces, is JSON text and is
+    emitted as it is; a list, tuple or array is rendered by
+    :func:`render_number_array`, anything else by :func:`render_number`.
+    The text is that of :func:`object_pieces`, joined once.
     """
-    pieces = []
+    return "".join(object_pieces(pairs))
+
+
+def object_pieces(pairs) -> Iterator[str]:
+    """The text of :func:`render_object` in pieces, each rendered as it is
+    asked for: a writer that takes them in turn holds one array block of
+    the document at a time, not the whole document."""
+    opening = "{"
     for key, value in pairs:
-        pieces.append(f', "{key}": ' if pieces else f'{{"{key}": ')
+        yield f'{opening}"{key}": '
+        opening = ", "
         if isinstance(value, str):
-            pieces.append(value)
+            yield value
+        elif isinstance(value, Iterator):
+            yield from value
         elif isinstance(value, (list, tuple, np.ndarray)):
-            pieces += _array_pieces(value)
+            yield from _array_pieces(value)
         else:
-            pieces.append(render_number(value))
-    pieces.append("}" if pieces else "{}")
-    return "".join(pieces)
+            yield render_number(value)
+    yield "{}" if opening == "{" else "}"
 
 
 def dump_matrix(m: np.ndarray) -> str:
@@ -274,12 +296,12 @@ def dump_matrix(m: np.ndarray) -> str:
     A non-finite or empty matrix, which :func:`load_matrix` would reject,
     raises :class:`ValidationError` (:func:`linalg.as_matrix`).
     """
-    return _dump_complex(as_matrix(m), "rows", "cols")
+    return "".join(_complex_pieces(as_matrix(m), "rows", "cols"))
 
 
-def _dump_complex(m: np.ndarray, rows_key: str, cols_key: str) -> str:
+def _complex_pieces(m: np.ndarray, rows_key: str, cols_key: str) -> Iterator[str]:
     flat = m.reshape(-1)
-    return render_object(
+    return object_pieces(
         [(rows_key, m.shape[0]), (cols_key, m.shape[1]), ("re", flat.real), ("im", flat.imag)]
     )
 
@@ -326,15 +348,103 @@ def _positive_int(obj: dict, key: str) -> int:
 
 
 def _load_complex(text: str | bytes, rows_key: str, cols_key: str) -> np.ndarray:
-    try:
-        obj = orjson.loads(text)
-        # only the four checked keys: orjson has no nesting limit, so an
-        # ignored extra key could hold nesting that json rejects
-        if isinstance(obj, dict) and obj.keys() == {rows_key, cols_key, "re", "im"}:
-            return _complex_from(obj, rows_key, cols_key)
-    except ValueError:  # orjson's JSONDecodeError and ValidationError alike
-        pass
-    return _complex_from(parse_json(text), rows_key, cols_key)
+    z = _read_dumped(text, rows_key, cols_key)
+    return z if z is not None else _complex_from(parse_json(text), rows_key, cols_key)
+
+
+# -- the slice read of documents in the dump layout --------------------------
+
+_SLICE = 1 << 16  # bytes of array text per orjson call
+_NUMBER_BYTES = b"0123456789+-.eE, "
+_HEADER = re.compile(rb'\{"(\w+)": ([1-9][0-9]{0,17}), "(\w+)": ([1-9][0-9]{0,17}), "re": \[')
+
+
+def _like(text: str | bytes, literal: str) -> str | bytes:
+    """``literal`` as the type of ``text``, ``str`` or ``bytes``."""
+    return literal if isinstance(text, str) else literal.encode()
+
+
+def _ascii(piece: str | bytes) -> bytes:
+    return piece.encode() if isinstance(piece, str) else piece
+
+
+def _read_dumped(text: str | bytes, rows_key: str, cols_key: str) -> np.ndarray | None:
+    """The array of a document in the dump layout, or None for json to read.
+
+    The layout is ``{"<rows_key>": R, "<cols_key>": C, "re": [...], "im":
+    [...]}`` with exactly these separators, then JSON whitespace.  Nothing
+    is allocated until the lengths of the two array texts show that each
+    can hold ``R * C`` numbers.
+    """
+    if type(text) not in (str, bytes) or (isinstance(text, str) and not text.isascii()):
+        return None  # isascii is O(1) on a str; bytes meet the alphabet check
+    head = _HEADER.match(_ascii(text[:96]))
+    if head is None or (head[1], head[3]) != (rows_key.encode(), cols_key.encode()):
+        return None
+    rows, cols = int(head[2]), int(head[4])
+    between = _like(text, '], "im": [')
+    re_start = head.end()
+    re_end = text.find(_like(text, "]"), re_start)
+    im_start = re_end + len(between)
+    if re_end < 0 or text[re_end:im_start] != between:
+        return None
+    im_end = text.find(_like(text, "]"), im_start)
+    # a number and a comma or bracket per entry at the least
+    if im_end < 0 or min(re_end - re_start, im_end - im_start) < 2 * rows * cols - 1:
+        return None
+    tail = text[im_end + 1 :] if len(text) - im_end <= 64 else text[:0]
+    if tail.strip(_like(text, " \t\n\r")) != _like(text, "}"):
+        return None
+    z = np.empty(rows * cols, dtype=np.complex128)
+    if _fill(z.real, text, re_start, re_end) and _fill(z.imag, text, im_start, im_end):
+        return z.reshape(rows, cols)
+    return None
+
+
+def _fill(out: np.ndarray, text: str | bytes, start: int, end: int) -> bool:
+    """Write the numbers of the array text ``text[start:end]`` into ``out``.
+
+    False, with ``out`` partly written, if json must read the text: it is
+    not exactly ``out.size`` numbers, or not in the slices' alphabet.
+    Zeros alone, each written ``0`` or ``0.0`` and joined by ``", "``, are
+    not parsed.  Other text goes to ``orjson`` in slices of at most
+    ``_SLICE`` bytes, each ending at a comma.  A slice holding anything but
+    digits, signs, points, exponents, commas and spaces is not parsed, so
+    every value orjson returns is an int or a float.
+    """
+    n = out.size
+    for zero in ("0", "0.0"):
+        unit = _like(text, zero + ", ")
+        # n - 1 units tile all but the last bytes, which are a zero
+        if (
+            end - start == len(unit) * n - 2
+            and text.endswith(unit[:-2], start, end)
+            and text.count(unit, start, end) == n - 1
+        ):
+            out[:] = 0.0
+            return True
+    done = 0
+    while True:
+        if end - start <= _SLICE:
+            stop = end
+        else:
+            stop = text.rfind(_like(text, ","), start, start + _SLICE)
+            if stop < 0:
+                return False
+        piece = b"".join((b"[", _ascii(text[start:stop]), b"]"))
+        if piece.translate(None, _NUMBER_BYTES) != b"[]":
+            return False
+        try:
+            values = np.asarray(orjson.loads(piece), dtype=np.float64)
+        except (ValueError, OverflowError):  # orjson's JSONDecodeError is a ValueError
+            return False
+        if not 0 < values.size <= n - done:  # an empty slice is a comma too many
+            return False
+        out[done : done + values.size] = values
+        done += values.size
+        if stop == end:
+            return done == n
+        start = stop + 1
 
 
 def _complex_from(obj, rows_key: str, cols_key: str) -> np.ndarray:
@@ -360,7 +470,12 @@ def load_matrix(text: str | bytes) -> np.ndarray:
 
 def dump_state(state: BipartitePureState) -> str:
     """Serialize a bipartite pure state, row-major over (system, surroundings)."""
-    return _dump_complex(state.amplitudes, "dim_a", "dim_b")
+    return "".join(state_pieces(state))
+
+
+def state_pieces(state: BipartitePureState) -> Iterator[str]:
+    """The text of :func:`dump_state` in pieces, each rendered as it is asked for."""
+    return _complex_pieces(state.amplitudes, "dim_a", "dim_b")
 
 
 def load_state(text: str | bytes) -> BipartitePureState:

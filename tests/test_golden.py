@@ -4,7 +4,8 @@ Every case runs ``cli.main`` in-process on fixed inputs and compares stdout,
 stderr and the exit code with files under ``tests/golden/``:
 
 * ``models/<kind>.json``: one model file per model kind;
-* ``inputs/``: observable files, a Gibbs density file, a non-square
+* ``inputs/``: observable files, a Gibbs density file (also in the
+  layout of Python's ``json.dump``: repr floats, ``0.0`` zeros), a non-square
   matrix, a diagonal matrix whose trace is past the float range, a 2 x 2
   density file with one off-diagonal entry of 2e-9 (not Hermitian), a state
   whose norm is off by 5e-10 (within admission), one admitted at the norm
@@ -110,6 +111,10 @@ def _cases() -> dict[str, tuple[list[str], bool]]:
     for fmt in ("json", "csv"):
         cases[f"schmidt_state.{fmt}"] = (["schmidt", "inputs/state.json", "--format", fmt], True)
         cases[f"purify_gibbs.{fmt}"] = (["purify", "inputs/gibbs.json", "--format", fmt], True)
+        # the same matrix as Python's json.dump writes it: repr floats, 0.0 zeros
+        cases[f"purify_gibbs_repr.{fmt}"] = (
+            ["purify", "inputs/gibbs_repr.json", "--format", fmt], True
+        )
         # the round trip misses rho by the clipped mass, within --tol plus it
         cases[f"purify_clipped.{fmt}"] = (
             ["purify", "inputs/clipped.json", "--format", fmt], True
@@ -409,6 +414,9 @@ def write_missing_golden() -> None:
     oscillator = models.build_oscillator(0.75, 6)
     gibbs = thermal.gibbs_density(oscillator, 0.8).matrix
     files[inputs / "gibbs.json"] = serialize.dump_matrix(gibbs)
+    files[inputs / "gibbs_repr.json"] = json.dumps(
+        {"rows": 6, "cols": 6, "re": gibbs.reshape(-1).tolist(), "im": [0.0] * 36}
+    )
     files[inputs / "clipped.json"] = serialize.dump_matrix(np.diag([0.6 + 0.8e-9, 0.4, -0.8e-9]))
     off_norm = np.diag([math.sqrt(0.7 + 5e-10), math.sqrt(0.3)])
     files[inputs / "state_off_norm.json"] = serialize.dump_state(BipartitePureState(off_norm))

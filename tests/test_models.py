@@ -223,6 +223,15 @@ class TestRandomHermitian:
         b = build_random_hermitian(4, seed=2)
         assert np.linalg.norm(a.matrix - b.matrix) > 0.1
 
+    def test_blocks_and_tiles_match_the_whole_matrix(self):
+        # 1100 rows are two draw blocks (896 + 204 rows) and 5 x 5 tiles;
+        # both must give the bits of one draw and one (G + G^dagger) / 2
+        d = 1100
+        g = standard_normals(17, 2 * d * d).view(np.complex128).reshape(d, d)
+        want = (g + g.conj().T) / 2.0
+        got = build_random_hermitian(d, seed=17).matrix
+        assert got.tobytes() == want.tobytes()
+
     def test_trace_equals_eigenvalue_sum_seed_31(self):
         op = build_random_hermitian(6, seed=31)
         eig = hermitian_eig(op)

@@ -3,7 +3,9 @@ import contextlib
 import json
 import math
 import re
+import tracemalloc
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -342,12 +344,20 @@ class TestReportFormat:
 
 
 # Canonical documents of both array formats; the matrix holds integers,
-# extremes and a -0.0 that is written 0.
+# extremes and a -0.0 that is written 0.  The repr matrix is in the layout
+# of Python's json.dump (repr floats, 0.0 zeros), and the real state's "im"
+# is zeros alone, read without parsing.
+REPR_MATRIX = np.array([[0.1, -2.5e-300, 0.0], [1e300, -0.0, 2.0 / 3.0]])
+REAL_STATE = np.linspace(1.0, 2.0, 12).reshape(3, 4)
 CANONICAL = {
     "matrix": dump_matrix(
         np.array([[0.1, -2.5e-300 + 1j], [1e300 - 0.0j, 3.0 + 2.0 / 3.0j]])
     ).encode(),
     "state": dump_state(random_bipartite_state(2, 2, seed=304)).encode(),
+    "matrix_repr": json.dumps(
+        {"rows": 2, "cols": 3, "re": REPR_MATRIX.reshape(-1).tolist(), "im": [0.0] * 6}
+    ).encode(),
+    "state_real": dump_state(BipartitePureState(REAL_STATE / np.linalg.norm(REAL_STATE))).encode(),
 }
 NUMBER_TOKEN = re.compile(rb"-?\d[\d.eE+-]*")
 # numbers json reads and orjson rejects or reads otherwise, and numbers
@@ -420,6 +430,8 @@ REFERENCE = {  # the loaders as they read with json alone
         ).amplitudes,
     ),
 }
+REFERENCE["matrix_repr"] = REFERENCE["matrix"]
+REFERENCE["state_real"] = REFERENCE["state"]
 
 
 class TestFastParse:
@@ -453,3 +465,79 @@ class TestFastParse:
             np.testing.assert_array_equal(load_matrix(text), m)
         for text in (state_text, state_text.encode()):
             np.testing.assert_array_equal(load_state(text).amplitudes, state.amplitudes)
+
+
+class TestSliceSeams:
+    """The property of :class:`TestFastParse` with slices of at most 48
+    bytes, one or two numbers each, so that the edits also fall on and
+    next to the seams between slices."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(fmt=st.sampled_from(sorted(CANONICAL)), edit=EDITS)
+    @hazard_examples
+    def test_property_mutated_text_reads_as_json_reads_it(self, fmt, edit):
+        data = mutate(CANONICAL[fmt], edit)
+        load, reference = REFERENCE[fmt]
+        texts = [data]
+        if isinstance(data, bytes):
+            with contextlib.suppress(UnicodeDecodeError):
+                texts.append(data.decode())
+        for text in texts:
+            with mock.patch.object(serialize, "_SLICE", 48):
+                got = json_outcome(load, text)
+            assert got == json_outcome(reference, text)
+
+
+class TestSliceRead:
+    """Documents in the dump layout are read in slices into one array."""
+
+    def test_many_slices_read_as_json_reads_them(self):
+        m = random_complex_matrix(100, 120, seed=308)
+        texts = [
+            dump_matrix(m),
+            json.dumps({"rows": 100, "cols": 120, "re": m.real.reshape(-1).tolist(),
+                        "im": m.imag.reshape(-1).tolist()}),
+        ]
+        for text in texts:
+            assert len(text) > 4 * serialize._SLICE
+            for data in (text, text.encode()):
+                np.testing.assert_array_equal(load_matrix(data), m)
+
+    def test_zero_text_is_not_parsed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orjson.loads called on zeros")
+
+        monkeypatch.setattr(serialize.orjson, "loads", refuse)
+        for zero in ("0", "0.0"):
+            zeros = ", ".join([zero] * 6)
+            text = '{"rows": 2, "cols": 3, "re": [%s], "im": [%s]}' % (zeros, zeros)
+            z = load_matrix(text)
+            assert z.shape == (2, 3) and not z.view(np.uint64).any()  # +0.0 only
+
+    def test_huge_header_short_arrays_rejected_in_little_memory(self):
+        text = '{"rows": 1048576, "cols": 1048576, "re": [1, 2], "im": [0, 0]}'
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as caught:
+                load_matrix(text.encode())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == '"re" must hold 1099511627776 numbers, got 2'
+        assert str(caught.value) == json_outcome(REFERENCE["matrix"][1], text)
+        assert peak < 1 << 20
+
+    def test_load_holds_the_array_and_one_slice(self):
+        # one slice's worth: its text, the bracketed copy orjson reads, and
+        # orjson's list of it (about 32 bytes per number of 20-odd bytes)
+        # with that list as an array, together under 4 slices
+        m = random_complex_matrix(512, 512, seed=309)
+        text = dump_matrix(m).encode()
+        tracemalloc.start()
+        try:
+            z = load_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(z, m)
+        assert peak <= z.nbytes + 4 * serialize._SLICE
